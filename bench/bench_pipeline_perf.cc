@@ -2,11 +2,12 @@
 // per-binary analysis, cross-library resolution, metric computation, and
 // the db-backed aggregation path.
 //
-// main() first runs a cold/warm end-to-end study pair against one shared
-// content-addressed cache and writes the measured numbers (host topology,
-// per-stage wall/CPU, cache hit rate, speedup) to BENCH_pipeline.json
-// (override with LAPIS_BENCH_JSON; LAPIS_BENCH_APPS / LAPIS_BENCH_INSTALLS
-// / LAPIS_BENCH_JOBS scale the pair), then hands over to the registered
+// main() first runs a cold/warm end-to-end study pair per worker count,
+// each against a fresh content-addressed cache, and writes the measured
+// numbers (host topology, per-stage wall/CPU, cache hit rate, speedup) to
+// BENCH_pipeline.json (override with LAPIS_BENCH_JSON; LAPIS_BENCH_APPS /
+// LAPIS_BENCH_INSTALLS scale the pairs, LAPIS_BENCH_JOBS is a comma-separated
+// list of worker counts, default 1,2,4), then hands over to the registered
 // google-benchmark suite.
 
 #include <benchmark/benchmark.h>
@@ -15,6 +16,7 @@
 #include <atomic>
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 #include <ctime>
 #include <filesystem>
 #include <fstream>
@@ -39,6 +41,7 @@
 #include "src/runtime/executor.h"
 #include "src/runtime/stage_stats.h"
 #include "src/util/env.h"
+#include "src/util/strings.h"
 
 namespace lapis {
 namespace {
@@ -265,23 +268,30 @@ void BM_ExecutorParallelFor(benchmark::State& state) {
 }
 BENCHMARK(BM_ExecutorParallelFor)->Arg(1)->Arg(0);
 
+// The popcon survey alone at 100k installations, by worker count (the
+// survey is identical at every count).
 void BM_PopconSimulation(benchmark::State& state) {
   const auto& spec = Spec();
   corpus::DistroSynthesizer synthesizer(spec);
   auto repo = synthesizer.BuildRepository().take();
-  std::vector<double> marginals;
-  for (const auto& plan : spec.packages) {
-    marginals.push_back(plan.target_marginal);
-  }
+  const std::vector<double> marginals = corpus::SurveyMarginals(spec);
   package::PopconOptions options;
-  options.installation_count = 5000;
+  options.installation_count = 100000;
+  runtime::Executor executor(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    auto survey = package::PopconSimulator::Run(repo, marginals, options);
+    auto survey =
+        package::PopconSimulator::Run(repo, marginals, options, &executor);
     benchmark::DoNotOptimize(survey.ok());
   }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 5000);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(options.installation_count));
+  state.counters["threads"] = static_cast<double>(executor.thread_count());
 }
-BENCHMARK(BM_PopconSimulation);
+BENCHMARK(BM_PopconSimulation)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond);
 
 // --- Cold/warm study pair + BENCH_pipeline.json ---------------------------
 
@@ -346,6 +356,7 @@ void AppendRun(std::ostringstream& os, const char* label,
   std::snprintf(
       buf, sizeof buf,
       "    \"%s\": {\n"
+      "      \"jobs_used\": %zu,\n"
       "      \"wall_s\": %.3f,\n"
       "      \"pipeline_wall_s\": %.3f,\n"
       "      \"pipeline_cpu_s\": %.3f,\n"
@@ -353,7 +364,8 @@ void AppendRun(std::ostringstream& os, const char* label,
       ", \"hit_rate\": %.4f, \"analyses_restored\": %zu, "
       "\"analyzed_binaries\": %zu, \"resolutions_restored\": %zu, "
       "\"kib_read\": %" PRIu64 ", \"kib_written\": %" PRIu64 " },\n",
-      label, run.wall_seconds, run.result.pipeline_stats.TotalWallSeconds(),
+      label, run.result.jobs_used, run.wall_seconds,
+      run.result.pipeline_stats.TotalWallSeconds(),
       run.result.pipeline_stats.TotalCpuSeconds(), cs.hits, cs.Lookups(),
       cs.HitRate(), run.result.analyses_from_cache,
       run.result.analyzed_binaries, run.result.resolutions_from_cache,
@@ -363,27 +375,27 @@ void AppendRun(std::ostringstream& os, const char* label,
   os << "\n    }";
 }
 
-int WriteColdWarmJson() {
-  corpus::StudyOptions options;
-  options.distro.app_package_count = EnvSizeOr("LAPIS_BENCH_APPS", 3000);
-  options.distro.installation_count =
-      EnvSizeOr("LAPIS_BENCH_INSTALLS", 100000);
-  options.jobs = EnvSizeOr("LAPIS_BENCH_JOBS", 0);
+struct ColdWarm {
+  TimedStudy cold;
+  TimedStudy warm;
+};
 
+// One cold/warm pair at `jobs` workers against a fresh cache directory.
+Result<ColdWarm> RunColdWarm(corpus::StudyOptions options, size_t jobs) {
+  options.jobs = jobs;
   auto cache_dir = std::filesystem::temp_directory_path() /
                    ("lapis-bench-cache-" + std::to_string(::getpid()));
   std::error_code ec;
   std::filesystem::remove_all(cache_dir, ec);
   auto cache = cache::FootprintCache::Open(cache_dir.string());
   if (!cache.ok()) {
-    std::fprintf(stderr, "cache open failed: %s\n",
-                 cache.status().ToString().c_str());
-    return 1;
+    return cache.status();
   }
   options.cache = cache.value().get();
 
-  auto run_once = [&options](const char* label) -> Result<TimedStudy> {
-    std::fprintf(stderr, "[bench_pipeline_perf] %s study run...\n", label);
+  auto run_once = [&options, jobs](const char* label) -> Result<TimedStudy> {
+    std::fprintf(stderr, "[bench_pipeline_perf] %s study run, jobs=%zu...\n",
+                 label, jobs);
     double start = runtime::MonotonicSeconds();
     auto study = corpus::RunStudy(options);
     double wall = runtime::MonotonicSeconds() - start;
@@ -392,40 +404,73 @@ int WriteColdWarmJson() {
     }
     return TimedStudy{study.take(), wall};
   };
-
-  auto cold = run_once("cold");
-  if (!cold.ok()) {
-    std::fprintf(stderr, "cold study failed: %s\n",
-                 cold.status().ToString().c_str());
-    return 1;
-  }
-  auto warm = run_once("warm");
-  if (!warm.ok()) {
-    std::fprintf(stderr, "warm study failed: %s\n",
-                 warm.status().ToString().c_str());
-    return 1;
-  }
+  ColdWarm pair;
+  LAPIS_ASSIGN_OR_RETURN(pair.cold, run_once("cold"));
+  LAPIS_ASSIGN_OR_RETURN(pair.warm, run_once("warm"));
   std::filesystem::remove_all(cache_dir, ec);
+  return pair;
+}
 
-  double speedup = warm.value().wall_seconds > 0.0
-                       ? cold.value().wall_seconds / warm.value().wall_seconds
-                       : 0.0;
-  double skip_fraction =
-      warm.value().result.analyzed_binaries > 0
-          ? static_cast<double>(warm.value().result.analyses_from_cache) /
-                static_cast<double>(warm.value().result.analyzed_binaries)
-          : 0.0;
+int WriteColdWarmJson() {
+  corpus::StudyOptions options;
+  options.distro.app_package_count = EnvSizeOr("LAPIS_BENCH_APPS", 3000);
+  options.distro.installation_count =
+      EnvSizeOr("LAPIS_BENCH_INSTALLS", 100000);
+  std::vector<size_t> jobs_list;
+  for (const std::string& field :
+       Split(EnvStringOr("LAPIS_BENCH_JOBS", "1,2,4"), ',')) {
+    jobs_list.push_back(static_cast<size_t>(std::strtoull(
+        field.c_str(), nullptr, 10)));
+  }
+
+  // Each pair is rendered as soon as it finishes and then dropped, so the
+  // peak RSS below is that of the largest single pair.
+  std::ostringstream runs;
+  std::ostringstream ratios;
+  std::ostringstream summary;
+  char buf[512];
+  for (size_t i = 0; i < jobs_list.size(); ++i) {
+    auto pair = RunColdWarm(options, jobs_list[i]);
+    if (!pair.ok()) {
+      std::fprintf(stderr, "study pair at jobs=%zu failed: %s\n",
+                   jobs_list[i], pair.status().ToString().c_str());
+      return 1;
+    }
+    const TimedStudy& cold = pair.value().cold;
+    const TimedStudy& warm = pair.value().warm;
+    const std::string suffix = "_jobs_" + std::to_string(jobs_list[i]);
+    AppendRun(runs, ("cold" + suffix).c_str(), cold);
+    runs << ",\n";
+    AppendRun(runs, ("warm" + suffix).c_str(), warm);
+    runs << (i + 1 < jobs_list.size() ? ",\n" : "\n");
+    const double speedup =
+        warm.wall_seconds > 0.0 ? cold.wall_seconds / warm.wall_seconds : 0.0;
+    const double skip_fraction =
+        warm.result.analyzed_binaries > 0
+            ? static_cast<double>(warm.result.analyses_from_cache) /
+                  static_cast<double>(warm.result.analyzed_binaries)
+            : 0.0;
+    std::snprintf(buf, sizeof buf,
+                  "%s\n    \"jobs_%zu\": { \"speedup\": %.2f, "
+                  "\"hit_rate\": %.4f, \"analysis_skip_fraction\": %.4f }",
+                  i == 0 ? "" : ",", jobs_list[i], speedup,
+                  warm.result.cache_stats.HitRate(), skip_fraction);
+    ratios << buf;
+    std::snprintf(buf, sizeof buf,
+                  "[bench_pipeline_perf] jobs=%zu: cold %.3fs, warm %.3fs\n",
+                  jobs_list[i], cold.wall_seconds, warm.wall_seconds);
+    summary << buf;
+  }
 
   std::ostringstream os;
   os << "{\n";
-  os << "  \"description\": \"Cold-vs-warm RunStudy pair sharing one "
-        "content-addressed footprint cache (src/cache), emitted by "
-        "bench_pipeline_perf at startup. Warm runs skip the per-binary "
-        "analysis chain (ELF parse, linear sweep, CFG, dataflow), the "
-        "per-library export reachability, the per-executable resolution, "
-        "and the popcon survey; exports are byte-identical cold vs. "
-        "warm.\",\n";
-  char buf[512];
+  os << "  \"description\": \"Cold-vs-warm RunStudy pairs, one per worker "
+        "count, each sharing a fresh content-addressed footprint cache "
+        "(src/cache), emitted by bench_pipeline_perf at startup. Warm runs "
+        "skip the per-binary analysis chain (ELF parse, linear sweep, CFG, "
+        "dataflow), the per-library export reachability, the per-executable "
+        "resolution, and the popcon survey; exports are byte-identical cold "
+        "vs. warm and across worker counts.\",\n";
   std::snprintf(buf, sizeof buf,
                 "  \"host\": {\n"
                 "    \"cpu_model\": \"%s\",\n"
@@ -439,27 +484,17 @@ int WriteColdWarmJson() {
   os << buf;
   std::snprintf(buf, sizeof buf,
                 "  \"config\": { \"app_packages\": %zu, \"installations\": "
-                "%" PRIu64 ", \"jobs\": %zu, \"jobs_used\": %zu },\n",
+                "%" PRIu64 " },\n",
                 options.distro.app_package_count,
-                options.distro.installation_count, options.jobs,
-                cold.value().result.jobs_used);
+                options.distro.installation_count);
   os << buf;
-  os << "  \"runs\": {\n";
-  AppendRun(os, "cold", cold.value());
-  os << ",\n";
-  AppendRun(os, "warm", warm.value());
-  os << "\n  },\n";
-  std::snprintf(buf, sizeof buf,
-                "  \"warm_vs_cold\": { \"speedup\": %.2f, "
-                "\"hit_rate\": %.4f, \"analysis_skip_fraction\": %.4f },\n",
-                speedup, warm.value().result.cache_stats.HitRate(),
-                skip_fraction);
-  os << buf;
-  // ru_maxrss is a process-lifetime high-water mark, so this covers the
-  // cold run, the warm run, and everything either allocated transiently.
+  os << "  \"runs\": {\n" << runs.str() << "  },\n";
+  os << "  \"warm_vs_cold\": {" << ratios.str() << "\n  },\n";
+  // ru_maxrss is a process-lifetime high-water mark, so this covers every
+  // run and everything any of them allocated transiently.
   std::snprintf(buf, sizeof buf,
                 "  \"memory\": { \"max_rss_kib\": %" PRIu64
-                ", \"note\": \"process peak across both runs "
+                ", \"note\": \"process peak across all runs "
                 "(getrusage ru_maxrss)\" }\n",
                 runtime::PeakRssKib());
   os << buf;
@@ -472,13 +507,10 @@ int WriteColdWarmJson() {
     std::fprintf(stderr, "failed writing %s\n", path.c_str());
     return 1;
   }
+  std::fputs(summary.str().c_str(), stderr);
   std::fprintf(stderr,
-               "[bench_pipeline_perf] wrote %s (cold %.3fs, warm %.3fs, "
-               "%.1fx, hit rate %.1f%%, peak RSS %" PRIu64 " KiB)\n",
-               path.c_str(), cold.value().wall_seconds,
-               warm.value().wall_seconds, speedup,
-               100.0 * warm.value().result.cache_stats.HitRate(),
-               runtime::PeakRssKib());
+               "[bench_pipeline_perf] wrote %s (peak RSS %" PRIu64 " KiB)\n",
+               path.c_str(), runtime::PeakRssKib());
   return 0;
 }
 

@@ -39,16 +39,20 @@ void SurveyCodec::Encode(const package::PopconSurvey& survey,
   }
 }
 
-Result<package::PopconSurvey> SurveyCodec::Decode(ByteReader& reader) {
+Result<package::PopconSurvey> SurveyCodec::Decode(ByteReader& reader,
+                                                  size_t package_count) {
   package::PopconSurvey survey;
   LAPIS_ASSIGN_OR_RETURN(survey.total_reporting, reader.ReadU64());
   LAPIS_ASSIGN_OR_RETURN(uint32_t count_size, reader.ReadU32());
-  if (count_size > kMaxCount) {
-    return CorruptDataError("survey install_counts length implausible");
+  if (count_size != package_count) {
+    return CorruptDataError("survey install_counts length mismatch");
   }
   survey.install_counts.reserve(count_size);
   for (uint32_t i = 0; i < count_size; ++i) {
     LAPIS_ASSIGN_OR_RETURN(uint64_t count, reader.ReadU64());
+    if (count > survey.total_reporting) {
+      return CorruptDataError("survey install count exceeds reporting");
+    }
     survey.install_counts.push_back(count);
   }
   LAPIS_ASSIGN_OR_RETURN(uint32_t sample_count, reader.ReadU32());
@@ -58,8 +62,8 @@ Result<package::PopconSurvey> SurveyCodec::Decode(ByteReader& reader) {
   survey.samples.reserve(sample_count);
   for (uint32_t i = 0; i < sample_count; ++i) {
     LAPIS_ASSIGN_OR_RETURN(uint32_t word_count, reader.ReadU32());
-    if (word_count > kMaxCount) {
-      return CorruptDataError("survey sample word count implausible");
+    if (word_count != (package_count + 63) / 64) {
+      return CorruptDataError("survey sample word count mismatch");
     }
     std::vector<uint64_t> words;
     words.reserve(word_count);
@@ -77,6 +81,7 @@ uint64_t HashSurveyInputs(const package::Repository& repository,
                           const std::vector<double>& target_marginals,
                           const package::PopconOptions& options) {
   uint64_t h = kFnvOffsetBasis;
+  h = HashU64(package::kPopconSamplerVersion, h);
   h = HashU64(repository.size(), h);
   for (const package::Package& pkg : repository.packages()) {
     h = HashU64(pkg.name.size(), h);
@@ -100,6 +105,15 @@ uint64_t HashSurveyInputs(const package::Repository& repository,
   h = HashU64(options.profile_count, h);
   h = HashU64(DoubleBits(options.profile_boost), h);
   return h;
+}
+
+CacheKey SurveyCacheKey(const package::Repository& repository,
+                        const std::vector<double>& target_marginals,
+                        const package::PopconOptions& options) {
+  CacheKey key;
+  key.content = HashSurveyInputs(repository, target_marginals, options);
+  key.fingerprint = BaseFingerprint(EntryKind::kSurvey);
+  return key;
 }
 
 }  // namespace lapis::cache

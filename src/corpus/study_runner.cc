@@ -242,6 +242,26 @@ StudyOptions SmallStudyOptions() {
   return options;
 }
 
+std::vector<double> SurveyMarginals(const DistroSpec& spec) {
+  std::vector<double> marginals;
+  marginals.reserve(spec.packages.size());
+  for (const auto& plan : spec.packages) {
+    marginals.push_back(plan.target_marginal);
+  }
+  return marginals;
+}
+
+package::PopconOptions SurveyOptions(const StudyOptions& options) {
+  package::PopconOptions popcon;
+  popcon.installation_count = options.distro.installation_count;
+  popcon.report_rate = options.distro.popcon_report_rate;
+  popcon.retain_samples = options.popcon_retain_samples;
+  popcon.profile_count = options.popcon_profile_count;
+  popcon.profile_boost = options.popcon_profile_boost;
+  popcon.seed = options.distro.seed ^ 0x9e3779b97f4a7c15ULL;
+  return popcon;
+}
+
 Result<StudyResult> RunStudy(const StudyOptions& options) {
   std::unique_ptr<runtime::Executor> owned_executor;
   runtime::Executor* executor = options.executor;
@@ -645,32 +665,19 @@ Result<StudyResult> RunStudy(const StudyOptions& options) {
   // ---- Popularity-contest survey ----
   {
     runtime::StageTimer timer(&stats, "popcon");
-    std::vector<double> marginals;
-    marginals.reserve(package_count);
-    for (const auto& plan : result.spec.packages) {
-      marginals.push_back(plan.target_marginal);
-    }
-    package::PopconOptions popcon;
-    popcon.installation_count = options.distro.installation_count;
-    popcon.report_rate = options.distro.popcon_report_rate;
-    popcon.retain_samples = options.popcon_retain_samples;
-    popcon.profile_count = options.popcon_profile_count;
-    popcon.profile_boost = options.popcon_profile_boost;
-    popcon.seed = options.distro.seed ^ 0x9e3779b97f4a7c15ULL;
+    const std::vector<double> marginals = SurveyMarginals(result.spec);
+    const package::PopconOptions popcon = SurveyOptions(options);
     // The survey is a pure function of (repository, marginals, options):
-    // cacheable by input hash. Its fingerprint deliberately excludes the
-    // analyzer switches — flipping use_dataflow must not invalidate it.
+    // cacheable by input hash.
     cache::CacheKey survey_key;
     bool survey_restored = false;
     if (ctx) {
-      survey_key.content =
-          cache::HashSurveyInputs(result.repository, marginals, popcon);
-      survey_key.fingerprint =
-          cache::BaseFingerprint(cache::EntryKind::kSurvey);
+      survey_key = cache::SurveyCacheKey(result.repository, marginals, popcon);
       auto payload = ctx.cache->Lookup(survey_key);
       if (payload != nullptr) {
         ByteReader reader(*payload);
-        auto decoded = cache::SurveyCodec::Decode(reader);
+        // A record that does not fit this repository is a miss.
+        auto decoded = cache::SurveyCodec::Decode(reader, package_count);
         if (decoded.ok()) {
           result.survey = decoded.take();
           survey_restored = true;
@@ -680,7 +687,8 @@ Result<StudyResult> RunStudy(const StudyOptions& options) {
     if (!survey_restored) {
       LAPIS_ASSIGN_OR_RETURN(result.survey,
                              package::PopconSimulator::Run(
-                                 result.repository, marginals, popcon));
+                                 result.repository, marginals, popcon,
+                                 executor));
       if (ctx) {
         ByteWriter writer;
         cache::SurveyCodec::Encode(result.survey, writer);

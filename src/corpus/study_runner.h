@@ -145,6 +145,11 @@ Result<StudyResult> RunStudy(const StudyOptions& options);
 // A small, fast configuration for unit/integration tests.
 StudyOptions SmallStudyOptions();
 
+// The popcon inputs RunStudy samples: the plan's target marginals and the
+// survey options derived from `options`.
+std::vector<double> SurveyMarginals(const DistroSpec& spec);
+package::PopconOptions SurveyOptions(const StudyOptions& options);
+
 }  // namespace lapis::corpus
 
 #endif  // LAPIS_SRC_CORPUS_STUDY_RUNNER_H_

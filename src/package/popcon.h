@@ -8,6 +8,14 @@
 // (package sets honouring dependency closures), then tallies the marginal
 // counts an opt-in survey would report. Retained joint samples let the
 // ablation bench quantify the error of the independence assumption.
+//
+// Sampling is sub-linear in the package count and sharded. Closures are
+// monotone (d in closure(x) implies closure(d) is a subset of closure(x)),
+// so an installation is exactly the union of the closures of packages it
+// picks independently, each with its own marginal. Each installation draws
+// from its own PRNG stream keyed by (seed, installation index), and
+// fixed-size blocks of installations fold in index order, so the survey is
+// identical with or without an executor and at any thread count.
 
 #ifndef LAPIS_SRC_PACKAGE_POPCON_H_
 #define LAPIS_SRC_PACKAGE_POPCON_H_
@@ -19,7 +27,15 @@
 #include "src/util/prng.h"
 #include "src/util/status.h"
 
+namespace lapis::runtime {
+class Executor;
+}  // namespace lapis::runtime
+
 namespace lapis::package {
+
+// Version of the sampler's random stream. Survey caches key on it: bump it
+// whenever the same inputs would produce a different survey.
+inline constexpr uint32_t kPopconSamplerVersion = 2;
 
 // A sampled installation as a package-id bitset.
 class InstallationSet {
@@ -89,9 +105,12 @@ class PopconSimulator {
   // `target_marginals[i]` is the probability an installation picks package i
   // directly; the final marginal is inflated by reverse-dependency pulls
   // (installing an app installs its libraries). Values are clamped to [0,1].
+  // Blocks of installations run on `executor` when given (inline
+  // otherwise); the survey does not depend on it.
   static Result<PopconSurvey> Run(const Repository& repository,
                                   const std::vector<double>& target_marginals,
-                                  const PopconOptions& options);
+                                  const PopconOptions& options,
+                                  runtime::Executor* executor = nullptr);
 };
 
 }  // namespace lapis::package

@@ -226,10 +226,7 @@ TEST(AnalysisCodec, ResolutionRoundtrip) {
 TEST(SurveyCodec, SurveyRoundtripWithSamples) {
   corpus::DistroSynthesizer synthesizer(Spec());
   auto repo = synthesizer.BuildRepository().take();
-  std::vector<double> marginals;
-  for (const auto& plan : Spec().packages) {
-    marginals.push_back(plan.target_marginal);
-  }
+  const std::vector<double> marginals = corpus::SurveyMarginals(Spec());
   package::PopconOptions options;
   options.installation_count = 500;
   options.retain_samples = 50;
@@ -240,7 +237,7 @@ TEST(SurveyCodec, SurveyRoundtripWithSamples) {
   ByteWriter writer;
   cache::SurveyCodec::Encode(original.value(), writer);
   ByteReader reader(writer.bytes());
-  auto decoded = cache::SurveyCodec::Decode(reader);
+  auto decoded = cache::SurveyCodec::Decode(reader, repo.size());
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded.value().total_reporting, original.value().total_reporting);
   EXPECT_EQ(decoded.value().install_counts, original.value().install_counts);
@@ -249,6 +246,31 @@ TEST(SurveyCodec, SurveyRoundtripWithSamples) {
     EXPECT_EQ(decoded.value().samples[i].words(),
               original.value().samples[i].words());
   }
+}
+
+TEST(SurveyCodec, DecodeRejectsSurveysThatDoNotFitTheRepository) {
+  package::PopconSurvey good;
+  good.total_reporting = 10;
+  good.install_counts = {10, 3, 0};
+  good.samples.push_back(package::InstallationSet(3));
+  auto decode = [](const package::PopconSurvey& survey, size_t packages) {
+    ByteWriter writer;
+    cache::SurveyCodec::Encode(survey, writer);
+    ByteReader reader(writer.bytes());
+    return cache::SurveyCodec::Decode(reader, packages);
+  };
+  EXPECT_TRUE(decode(good, 3).ok());
+  // Wrong package count, in either direction.
+  EXPECT_FALSE(decode(good, 4).ok());
+  EXPECT_FALSE(decode(good, 2).ok());
+  // A count above the reporting total.
+  package::PopconSurvey overcounted = good;
+  overcounted.install_counts[1] = 11;
+  EXPECT_FALSE(decode(overcounted, 3).ok());
+  // A retained sample sized for another repository.
+  package::PopconSurvey wide = good;
+  wide.samples.push_back(package::InstallationSet(65));
+  EXPECT_FALSE(decode(wide, 3).ok());
 }
 
 TEST(SurveyCodec, InputHashTracksEveryInput) {
@@ -539,6 +561,38 @@ TEST(CacheStudyTest, WarmRunSkipsAnalysesWithByteIdenticalExports) {
   EXPECT_EQ(warm_exports.footprints, cold_exports.footprints);
   EXPECT_EQ(warm.value().ground_truth_mismatches,
             cold.value().ground_truth_mismatches);
+}
+
+// A survey record that does not fit the repository (here: too few counts,
+// planted under the study's real survey key) is a cache miss: the study
+// re-samples instead of indexing past the record's counts.
+TEST(CacheStudyTest, MisshapenSurveyRecordIsResampled) {
+  corpus::StudyOptions options = corpus::SmallStudyOptions();
+  auto reference = corpus::RunStudy(options);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  const corpus::StudyResult& ref = reference.value();
+
+  package::PopconSurvey shortened = ref.survey;
+  shortened.install_counts.resize(ref.repository.size() / 2);
+  ByteWriter writer;
+  cache::SurveyCodec::Encode(shortened, writer);
+  auto cache = FootprintCache::Open("");
+  ASSERT_TRUE(cache.ok());
+  cache.value()->Insert(
+      cache::SurveyCacheKey(ref.repository, corpus::SurveyMarginals(ref.spec),
+                            corpus::SurveyOptions(options)),
+      writer.bytes());
+
+  options.cache = cache.value().get();
+  auto planted = corpus::RunStudy(options);
+  ASSERT_TRUE(planted.ok()) << planted.status().ToString();
+  EXPECT_EQ(planted.value().survey.install_counts, ref.survey.install_counts);
+  EXPECT_EQ(planted.value().survey.total_reporting, ref.survey.total_reporting);
+  StudyExports want = ExportAll(ref);
+  StudyExports got = ExportAll(planted.value());
+  EXPECT_EQ(got.importance, want.importance);
+  EXPECT_EQ(got.packages, want.packages);
+  EXPECT_EQ(got.footprints, want.footprints);
 }
 
 TEST(CacheStudyTest, MethodologyFlipForcesRecompute) {

@@ -2,11 +2,100 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
+#include "src/corpus/binary_synth.h"
+#include "src/corpus/distro_spec.h"
+#include "src/corpus/study_runner.h"
 #include "src/package/popcon.h"
 #include "src/package/repository.h"
 
 namespace lapis::package {
 namespace {
+
+// The original sampler, kept as an oracle: one sequential stream, one
+// Bernoulli draw per package per installation, skipping packages an earlier
+// pick's closure already installed. O(installations x packages).
+PopconSurvey ReferenceSurvey(const Repository& repository,
+                             const std::vector<double>& target_marginals,
+                             const PopconOptions& options) {
+  const size_t n = repository.size();
+  std::vector<std::vector<PackageId>> closures(n);
+  for (PackageId id = 0; id < n; ++id) {
+    closures[id] = repository.DependencyClosure(id);
+  }
+  const uint32_t profiles = options.profile_count;
+  double boost = options.profile_boost;
+  if (profiles > 1 && boost > static_cast<double>(profiles)) {
+    boost = static_cast<double>(profiles);
+  }
+  const double dampen =
+      profiles > 1 ? (static_cast<double>(profiles) - boost) /
+                         (static_cast<double>(profiles) - 1.0)
+                   : 1.0;
+  PopconSurvey survey;
+  survey.install_counts.assign(n, 0);
+  Prng prng(options.seed);
+  std::vector<uint8_t> installed(n, 0);
+  for (uint64_t inst = 0; inst < options.installation_count; ++inst) {
+    std::fill(installed.begin(), installed.end(), 0);
+    uint32_t profile =
+        profiles > 1 ? static_cast<uint32_t>(prng.NextBelow(profiles)) : 0;
+    for (PackageId id = 0; id < n; ++id) {
+      double marginal = target_marginals[id];
+      if (profiles > 1 && marginal <= 0.5) {
+        marginal = std::min(
+            1.0, marginal * (id % profiles == profile ? boost : dampen));
+      }
+      if (installed[id] == 0 && prng.NextBool(marginal)) {
+        for (PackageId member : closures[id]) {
+          installed[member] = 1;
+        }
+      }
+    }
+    if (!prng.NextBool(options.report_rate)) {
+      continue;
+    }
+    ++survey.total_reporting;
+    for (PackageId id = 0; id < n; ++id) {
+      if (installed[id] != 0) {
+        ++survey.install_counts[id];
+      }
+    }
+  }
+  return survey;
+}
+
+// Two-sample z statistics of per-package install probabilities, over the
+// packages whose pooled probability lies strictly inside (0, 1).
+struct Agreement {
+  double chi2_per_df = 0.0;
+  double max_abs_z = 0.0;
+  size_t df = 0;
+};
+
+Agreement CompareSurveys(const PopconSurvey& a, const PopconSurvey& b) {
+  Agreement out;
+  double chi2 = 0.0;
+  const double na = static_cast<double>(a.total_reporting);
+  const double nb = static_cast<double>(b.total_reporting);
+  for (size_t id = 0; id < a.install_counts.size(); ++id) {
+    const double ca = static_cast<double>(a.install_counts[id]);
+    const double cb = static_cast<double>(b.install_counts[id]);
+    const double pooled = (ca + cb) / (na + nb);
+    if (pooled <= 0.0 || pooled >= 1.0) {
+      continue;
+    }
+    const double z = (ca / na - cb / nb) /
+                     std::sqrt(pooled * (1.0 - pooled) * (1.0 / na + 1.0 / nb));
+    chi2 += z * z;
+    out.max_abs_z = std::max(out.max_abs_z, std::abs(z));
+    ++out.df;
+  }
+  out.chi2_per_df = out.df == 0 ? 0.0 : chi2 / static_cast<double>(out.df);
+  return out;
+}
 
 Repository ChainRepo() {
   // libc <- libfoo <- app ; standalone "other".
@@ -261,6 +350,94 @@ TEST(Popcon, ValidatesInputs) {
   EXPECT_FALSE(PopconSimulator::Run(repo, {0.5, 0.5}, options).ok());
   options.installation_count = 0;
   EXPECT_FALSE(PopconSimulator::Run(repo, {0.5}, options).ok());
+}
+
+// The sharded skip-ahead sampler against the per-package-scan oracle on
+// the default-spec repository: per-package install probabilities must agree
+// as independent samples of one distribution.
+void ExpectAgreesWithReference(uint32_t profile_count) {
+  auto spec = corpus::BuildDistroSpec(corpus::DistroOptions{});
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  corpus::DistroSynthesizer synthesizer(spec.value());
+  auto repo = synthesizer.BuildRepository();
+  ASSERT_TRUE(repo.ok()) << repo.status().ToString();
+  const std::vector<double> marginals = corpus::SurveyMarginals(spec.value());
+  PopconOptions options;
+  options.installation_count = 20000;
+  options.report_rate = 0.97;
+  options.profile_count = profile_count;
+  auto sampled = PopconSimulator::Run(repo.value(), marginals, options);
+  ASSERT_TRUE(sampled.ok()) << sampled.status().ToString();
+  PopconSurvey reference =
+      ReferenceSurvey(repo.value(), marginals, options);
+
+  Agreement agreement = CompareSurveys(reference, sampled.value());
+  EXPECT_GT(agreement.df, 3000u);
+  EXPECT_GT(agreement.chi2_per_df, 0.85);
+  EXPECT_LT(agreement.chi2_per_df, 1.15);
+  EXPECT_LT(agreement.max_abs_z, 5.0);
+}
+
+TEST(Popcon, AgreesWithReferenceSampler) { ExpectAgreesWithReference(0); }
+
+TEST(Popcon, AgreesWithReferenceSamplerUnderProfiles) {
+  ExpectAgreesWithReference(3);
+}
+
+TEST(Popcon, PackagePulledByDependantsIsCountedOnce) {
+  // dep, and two apps that both depend on it: every pick is a coin flip.
+  Repository repo;
+  Package dep;
+  dep.name = "dep";
+  ASSERT_TRUE(repo.AddPackage(dep).ok());
+  for (const char* name : {"app1", "app2"}) {
+    Package app;
+    app.name = name;
+    app.depends = {0};
+    ASSERT_TRUE(repo.AddPackage(app).ok());
+  }
+  PopconOptions options;
+  options.installation_count = 5000;
+  options.retain_samples = 5000;
+  auto survey = PopconSimulator::Run(repo, {0.6, 0.6, 0.6}, options);
+  ASSERT_TRUE(survey.ok());
+  const PopconSurvey& result = survey.value();
+  ASSERT_EQ(result.samples.size(), result.total_reporting);
+  std::vector<uint64_t> recount(3, 0);
+  for (const auto& sample : result.samples) {
+    for (PackageId id = 0; id < 3; ++id) {
+      recount[id] += sample.Contains(id) ? 1 : 0;
+    }
+    if (sample.Contains(1) || sample.Contains(2)) {
+      EXPECT_TRUE(sample.Contains(0));
+    }
+  }
+  EXPECT_EQ(recount, result.install_counts);
+  EXPECT_LE(result.install_counts[0], result.total_reporting);
+}
+
+TEST(Popcon, CertainPackageClosureIsInEveryInstallation) {
+  Repository repo = ChainRepo();  // libc <- libfoo <- app ; other
+  for (uint32_t profiles : {0u, 3u}) {
+    PopconOptions options;
+    options.installation_count = 3000;
+    options.retain_samples = 3000;
+    options.report_rate = 0.9;
+    options.profile_count = profiles;
+    auto survey = PopconSimulator::Run(repo, {0.0, 0.0, 1.0, 0.0}, options);
+    ASSERT_TRUE(survey.ok());
+    const PopconSurvey& result = survey.value();
+    for (PackageId id : {0u, 1u, 2u}) {
+      EXPECT_EQ(result.install_counts[id], result.total_reporting) << id;
+    }
+    EXPECT_EQ(result.install_counts[3], 0u);
+    ASSERT_EQ(result.samples.size(), result.total_reporting);
+    for (const auto& sample : result.samples) {
+      EXPECT_TRUE(sample.Contains(0) && sample.Contains(1) &&
+                  sample.Contains(2));
+      EXPECT_FALSE(sample.Contains(3));
+    }
+  }
 }
 
 TEST(ProgramKind, Names) {

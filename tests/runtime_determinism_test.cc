@@ -10,7 +10,10 @@
 
 #include "src/cache/footprint_cache.h"
 #include "src/core/report.h"
+#include "src/corpus/binary_synth.h"
 #include "src/corpus/study_runner.h"
+#include "src/package/popcon.h"
+#include "src/runtime/executor.h"
 
 namespace lapis {
 namespace {
@@ -27,9 +30,10 @@ struct Exports {
 
 Exports RunAndExport(uint64_t seed, size_t jobs, bool use_dataflow = true,
                      cache::FootprintCache* cache = nullptr,
-                     bool use_ipa = false) {
+                     bool use_ipa = false, uint32_t profile_count = 0) {
   corpus::StudyOptions options = corpus::SmallStudyOptions();
   options.distro.seed = seed;
+  options.popcon_profile_count = profile_count;
   options.jobs = jobs;
   options.analyzer.use_dataflow = use_dataflow;
   options.analyzer.use_ipa = use_ipa;
@@ -128,6 +132,70 @@ TEST(RuntimeDeterminism, IpaModeExportsAreByteIdenticalAcrossJobCounts) {
   EXPECT_EQ(parallel.importance, sequential.importance);
   EXPECT_EQ(parallel.packages, sequential.packages);
   EXPECT_EQ(parallel.footprints, sequential.footprints);
+}
+
+// Install profiles reshape the survey per installation; the profile-aware
+// sampler keeps exports byte-identical at every worker count.
+TEST(RuntimeDeterminism, ProfiledSurveyExportsAreByteIdenticalAcrossJobCounts) {
+  const uint64_t seed = 20160418;
+  Exports sequential = RunAndExport(seed, 1, /*use_dataflow=*/true,
+                                    /*cache=*/nullptr, /*use_ipa=*/false,
+                                    /*profile_count=*/3);
+  ASSERT_FALSE(sequential.packages.empty());
+  Exports unprofiled = RunAndExport(seed, 1);
+  EXPECT_NE(sequential.packages, unprofiled.packages);
+  for (size_t jobs : {size_t{2}, size_t{8}}) {
+    Exports parallel = RunAndExport(seed, jobs, /*use_dataflow=*/true,
+                                    /*cache=*/nullptr, /*use_ipa=*/false,
+                                    /*profile_count=*/3);
+    EXPECT_EQ(parallel.importance, sequential.importance) << jobs;
+    EXPECT_EQ(parallel.packages, sequential.packages) << jobs;
+    EXPECT_EQ(parallel.footprints, sequential.footprints) << jobs;
+  }
+}
+
+// The popcon survey itself, with and without profiles: no executor and
+// executors of 1, 2, 4 and 8 threads give the same counts, reporting total
+// and retained samples in the same order.
+TEST(RuntimeDeterminism, PopconSurveyIsIdenticalAcrossExecutors) {
+  corpus::StudyOptions study = corpus::SmallStudyOptions();
+  auto spec = corpus::BuildDistroSpec(study.distro);
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  corpus::DistroSynthesizer synthesizer(spec.value());
+  auto repo = synthesizer.BuildRepository();
+  ASSERT_TRUE(repo.ok()) << repo.status().ToString();
+  const std::vector<double> marginals = corpus::SurveyMarginals(spec.value());
+  for (uint32_t profiles : {0u, 3u}) {
+    package::PopconOptions options;
+    options.installation_count = 20000;  // several blocks and waves
+    options.report_rate = 0.9;
+    options.retain_samples = 5000;
+    options.profile_count = profiles;
+    auto reference = package::PopconSimulator::Run(repo.value(), marginals,
+                                                   options);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    ASSERT_EQ(reference.value().samples.size(), options.retain_samples);
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+      runtime::Executor executor(threads);
+      auto survey = package::PopconSimulator::Run(repo.value(), marginals,
+                                                  options, &executor);
+      ASSERT_TRUE(survey.ok()) << survey.status().ToString();
+      EXPECT_EQ(survey.value().install_counts,
+                reference.value().install_counts)
+          << "profiles=" << profiles << " threads=" << threads;
+      EXPECT_EQ(survey.value().total_reporting,
+                reference.value().total_reporting)
+          << "profiles=" << profiles << " threads=" << threads;
+      ASSERT_EQ(survey.value().samples.size(),
+                reference.value().samples.size());
+      for (size_t i = 0; i < survey.value().samples.size(); ++i) {
+        ASSERT_EQ(survey.value().samples[i].words(),
+                  reference.value().samples[i].words())
+            << "profiles=" << profiles << " threads=" << threads
+            << " sample=" << i;
+      }
+    }
+  }
 }
 
 // The incremental cache must not pierce the determinism guarantee: for each
