@@ -6,6 +6,7 @@
 #include <system_error>
 #include <vector>
 
+#include "src/runtime/parallel.h"
 #include "src/util/env.h"
 
 namespace lapis::cache {
@@ -75,15 +76,15 @@ CacheStats CacheStats::operator-(const CacheStats& start) const {
 }
 
 Result<std::unique_ptr<FootprintCache>> FootprintCache::Open(
-    const std::string& dir) {
+    const std::string& dir, runtime::Executor* executor) {
   CacheOptions options;
   options.dir = dir;
   options.fsync = FsyncPolicyFromEnv();
-  return Open(options);
+  return Open(options, executor);
 }
 
 Result<std::unique_ptr<FootprintCache>> FootprintCache::Open(
-    const CacheOptions& options) {
+    const CacheOptions& options, runtime::Executor* executor) {
   std::unique_ptr<FootprintCache> cache(new FootprintCache());
   cache->dir_ = options.dir;
   cache->fsync_ = options.fsync;
@@ -96,42 +97,41 @@ Result<std::unique_ptr<FootprintCache>> FootprintCache::Open(
     return IoError("cannot create cache dir " + options.dir + ": " +
                    ec.message());
   }
+  std::vector<ShardLoad> loads = runtime::ParallelMap(
+      executor, kShardCount, [&cache, &options](size_t i) {
+        return cache->LoadShard(i, ShardPath(options.dir, i));
+      });
   for (size_t i = 0; i < kShardCount; ++i) {
-    const std::string path = ShardPath(options.dir, i);
-    cache->LoadShard(i, path);
-    Shard& shard = cache->shards_[i];
-    if (shard.quarantined) {
-      continue;  // load already gave up on write-back for this shard
+    const ShardLoad& load = loads[i];
+    cache->entries_loaded_ += load.entries_loaded;
+    cache->corrupt_entries_dropped_ += load.corrupt_entries_dropped;
+    cache->truncated_tails_ += load.truncated_tails;
+    cache->open_failures_ += load.open_failures;
+    if (!load.quarantine_reason.empty()) {
+      cache->Quarantine(i, cache->shards_[i], load.quarantine_reason);
     }
-    Result<io::File> log = io::File::OpenAppend(path, io::Profile::kCacheIo);
-    if (!log.ok()) {
-      // Unwritable shard: serve what was loaded, skip write-back for it.
-      ++cache->open_failures_;
-      cache->Quarantine(i, shard, "cannot open log: " +
-                                      log.status().ToString());
-      continue;
-    }
-    shard.log = log.take();
   }
+  cache->entries_.store(cache->entries_loaded_, std::memory_order_relaxed);
   return cache;
 }
 
-void FootprintCache::LoadShard(size_t index, const std::string& path) {
+FootprintCache::ShardLoad FootprintCache::LoadShard(size_t index,
+                                                    const std::string& path) {
+  ShardLoad load;
   Shard& shard = shards_[index];
   Result<std::vector<uint8_t>> read =
       io::ReadFileBytes(path, io::Profile::kCacheIo);
-  if (!read.ok()) {
-    if (read.status().code() == StatusCode::kNotFound) {
-      return;  // first run: no log yet
-    }
+  if (!read.ok() && read.status().code() != StatusCode::kNotFound) {
     // Unreadable log: we cannot know what is on disk, so appending to it
     // would risk corrupting a record boundary. Serve nothing from it and
     // quarantine write-back.
-    ++open_failures_;
-    Quarantine(index, shard, "cannot read log: " + read.status().ToString());
-    return;
+    ++load.open_failures;
+    load.quarantine_reason = "cannot read log: " + read.status().ToString();
+    return load;
   }
-  std::vector<uint8_t> data = read.take();
+  // A missing log is a first run: nothing to load, but open it below.
+  const std::vector<uint8_t> data =
+      read.ok() ? read.take() : std::vector<uint8_t>();
 
   size_t pos = 0;
   size_t valid_end = 0;
@@ -161,25 +161,33 @@ void FootprintCache::LoadShard(size_t index, const std::string& path) {
             .emplace(key,
                      std::shared_ptr<const std::vector<uint8_t>>(value))
             .second) {
-      ++entries_loaded_;
-      entries_.fetch_add(1, std::memory_order_relaxed);
+      ++load.entries_loaded;
     }
     pos += kHeaderSize + len + kTrailerSize;
     valid_end = pos;
   }
   shard.committed_bytes = valid_end;
   if (pos != data.size() || corrupt_tail) {
-    ++corrupt_entries_dropped_;
-    ++truncated_tails_;
+    ++load.corrupt_entries_dropped;
+    ++load.truncated_tails;
     // Truncate back to the last whole record so future appends land on a
     // readable boundary.
     std::error_code ec;
     std::filesystem::resize_file(path, valid_end, ec);
     if (ec) {
-      Quarantine(index, shard, "cannot truncate corrupt tail: " +
-                                   ec.message());
+      load.quarantine_reason = "cannot truncate corrupt tail: " + ec.message();
+      return load;  // write-back is off for this shard: no log to open
     }
   }
+  Result<io::File> log = io::File::OpenAppend(path, io::Profile::kCacheIo);
+  if (!log.ok()) {
+    // Unwritable shard: serve what was loaded, skip write-back for it.
+    ++load.open_failures;
+    load.quarantine_reason = "cannot open log: " + log.status().ToString();
+    return load;
+  }
+  shard.log = log.take();
+  return load;
 }
 
 void FootprintCache::Quarantine(size_t index, Shard& shard,

@@ -4,7 +4,8 @@
 // payload (analysis_codec.h). It is sharded 16 ways: each shard owns a
 // mutex, an in-memory index, and one append-only log file, so lookups and
 // write-backs from the work-stealing executor's shards contend only when
-// they hash to the same shard.
+// they hash to the same shard. Open loads the shard logs independently, on
+// an executor when given.
 //
 // On-disk layout (per shard, `shard-NN.bin`):
 //   repeated records of
@@ -55,6 +56,10 @@
 #include "src/cache/content_hash.h"
 #include "src/util/io.h"
 #include "src/util/status.h"
+
+namespace lapis::runtime {
+class Executor;
+}  // namespace lapis::runtime
 
 namespace lapis::cache {
 
@@ -107,10 +112,13 @@ class FootprintCache {
   // memory-only store when `dir` is empty. Unreadable or corrupt shard
   // files degrade that shard to memory-only (counted, warned), never an
   // error; only an uncreatable directory fails. The fsync policy defaults
-  // from LAPIS_CACHE_FSYNC ("never" | "record").
-  static Result<std::unique_ptr<FootprintCache>> Open(const std::string& dir);
+  // from LAPIS_CACHE_FSYNC ("never" | "record"). The shard logs load on
+  // `executor` when given (inline otherwise); counters and quarantine
+  // warnings are folded in shard order, so the result does not depend on it.
   static Result<std::unique_ptr<FootprintCache>> Open(
-      const CacheOptions& options);
+      const std::string& dir, runtime::Executor* executor = nullptr);
+  static Result<std::unique_ptr<FootprintCache>> Open(
+      const CacheOptions& options, runtime::Executor* executor = nullptr);
 
   ~FootprintCache();
   FootprintCache(const FootprintCache&) = delete;
@@ -152,7 +160,18 @@ class FootprintCache {
     bool quarantined = false;      // write-back disabled for this run
   };
 
-  void LoadShard(size_t index, const std::string& path);
+  // What loading one shard log found; Open folds these in shard order.
+  struct ShardLoad {
+    uint64_t entries_loaded = 0;
+    uint64_t corrupt_entries_dropped = 0;
+    uint64_t truncated_tails = 0;
+    uint64_t open_failures = 0;
+    std::string quarantine_reason;  // non-empty: quarantine the shard
+  };
+
+  // Loads shard `index` from `path` and opens its append log. Touches only
+  // that shard, so shards may load concurrently.
+  ShardLoad LoadShard(size_t index, const std::string& path);
   void Quarantine(size_t index, Shard& shard, const std::string& reason);
 
   std::string dir_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <set>
 #include <string>
 
 #include "src/analysis/binary_analyzer.h"
@@ -12,7 +11,7 @@
 #include "src/cache/content_hash.h"
 #include "src/cache/survey_codec.h"
 #include "src/corpus/api_universe.h"
-#include "src/corpus/syscall_table.h"
+#include "src/corpus/footprint_join.h"
 #include "src/elf/elf_reader.h"
 #include "src/runtime/parallel.h"
 
@@ -93,12 +92,45 @@ struct PackageAnalysis {
   std::vector<AnalyzedBinary> binaries;
 };
 
-// Shard result of the footprint-resolution stage for one package: one
-// resolution per non-library binary, in package binary order.
-struct PackageResolution {
-  std::vector<LibraryResolver::Resolution> resolutions;
-  size_t from_cache = 0;
+// Shard result of the fused resolve+join stage for one package: its
+// executables' resolutions already joined into one footprint.
+struct ResolvedPackage {
+  PackageFootprint footprint;
+  size_t executables = 0;
+  size_t from_cache = 0;  // resolutions restored via kResolution hits
 };
+
+// Resolves one executable against the fully built (read-only) resolver,
+// going through the cache when enabled: a hit decodes the stored
+// resolution, a miss (or an undecodable payload) resolves and writes it
+// back. Safe on any worker shard.
+LibraryResolver::Resolution ResolveOrDecode(const AnalyzedBinary& binary,
+                                            const LibraryResolver& resolver,
+                                            const CacheContext& ctx,
+                                            uint64_t link_fp,
+                                            bool* from_cache) {
+  *from_cache = false;
+  const bool cached = ctx && binary.content_hash != 0;
+  if (cached) {
+    auto payload = ctx.cache->Lookup({binary.content_hash, link_fp});
+    if (payload != nullptr) {
+      ByteReader reader(*payload);
+      auto decoded = AnalysisCodec::DecodeResolution(reader);
+      if (decoded.ok()) {
+        *from_cache = true;
+        return decoded.take();
+      }
+    }
+  }
+  LibraryResolver::Resolution resolution =
+      resolver.ResolveExecutable(*binary.analysis);
+  if (cached) {
+    ByteWriter writer;
+    AnalysisCodec::EncodeResolution(resolution, writer);
+    ctx.cache->Insert({binary.content_hash, link_fp}, writer.bytes());
+  }
+  return resolution;
+}
 
 // Shard result of the script-classification stage for one package.
 struct PackageScripts {
@@ -188,49 +220,6 @@ void FoldBinaryCounters(const AnalyzedBinary& binary, StudyResult& result) {
   }
 }
 
-// Converts a resolved footprint + used exports into dataset ApiIds.
-std::vector<core::ApiId> ToApiIds(const LibraryResolver::Resolution& res,
-                                  core::StringInterner& path_interner,
-                                  core::StringInterner& libc_interner) {
-  std::vector<core::ApiId> out;
-  for (int nr : res.footprint.syscalls) {
-    if (nr >= 0 && nr < kSyscallCount) {
-      out.push_back(core::SyscallApi(static_cast<uint32_t>(nr)));
-    }
-  }
-  for (uint32_t op : res.footprint.ioctl_ops) {
-    out.push_back(core::IoctlApi(op));
-  }
-  for (uint32_t op : res.footprint.fcntl_ops) {
-    out.push_back(core::FcntlApi(op));
-  }
-  for (uint32_t op : res.footprint.prctl_ops) {
-    out.push_back(core::PrctlApi(op));
-  }
-  for (const auto& path : res.footprint.pseudo_paths) {
-    out.push_back(core::ApiId{core::ApiKind::kPseudoFile,
-                              path_interner.Intern(path)});
-  }
-  auto libc_exports = res.used_exports.find(kLibcSoname);
-  if (libc_exports != res.used_exports.end()) {
-    // The libc-symbol API surface (§5, Table 7) is the 1274-entry universe.
-    // libc also exports the non-universe `syscall` clone that tail-plt
-    // wrappers jump through; it carries no importance row and no variant
-    // lists it, so it must not enter the dataset as a libc-symbol API.
-    static const std::set<std::string>* universe_names = [] {
-      auto* names = new std::set<std::string>();
-      for (const auto& spec : LibcUniverse()) names->insert(spec.name);
-      return names;
-    }();
-    for (const auto& symbol : libc_exports->second) {
-      if (!universe_names->contains(symbol)) continue;
-      out.push_back(core::ApiId{core::ApiKind::kLibcFn,
-                                libc_interner.Intern(symbol)});
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 StudyOptions SmallStudyOptions() {
@@ -270,13 +259,21 @@ Result<StudyResult> RunStudy(const StudyOptions& options) {
     executor = owned_executor.get();
   }
 
-  // ---- Incremental cache (optional) ----
+  StudyResult result;
+  result.jobs_used = executor->thread_count();
+  result.analyzer_options = options.analyzer;
+  runtime::PipelineStats& stats = result.pipeline_stats;
+
+  // ---- Incremental cache (optional); its shard logs load on the
+  // executor ----
   std::unique_ptr<FootprintCache> owned_cache;
   FootprintCache* cache_ptr = options.cache;
   if (cache_ptr == nullptr && !options.cache_dir.empty()) {
-    LAPIS_ASSIGN_OR_RETURN(owned_cache,
-                           FootprintCache::Open(options.cache_dir));
+    runtime::StageTimer timer(&stats, "cache-open");
+    LAPIS_ASSIGN_OR_RETURN(
+        owned_cache, FootprintCache::Open(options.cache_dir, executor));
     cache_ptr = owned_cache.get();
+    timer.AddItems(owned_cache->stats().entries_loaded);
   }
   CacheContext ctx;
   ctx.cache = cache_ptr;
@@ -290,20 +287,16 @@ Result<StudyResult> RunStudy(const StudyOptions& options) {
   }
   const cache::CacheStats cache_start =
       ctx ? ctx.cache->stats() : cache::CacheStats{};
-
-  StudyResult result;
-  result.jobs_used = executor->thread_count();
-  result.analyzer_options = options.analyzer;
   result.cache_enabled = static_cast<bool>(ctx);
-  runtime::PipelineStats& stats = result.pipeline_stats;
 
   {
     runtime::StageTimer timer(&stats, "plan");
     LAPIS_ASSIGN_OR_RETURN(result.spec, BuildDistroSpec(options.distro));
+    LAPIS_ASSIGN_OR_RETURN(result.repository,
+                           DistroSynthesizer(result.spec).BuildRepository());
     timer.AddItems(result.spec.packages.size());
   }
   DistroSynthesizer synthesizer(result.spec);
-  LAPIS_ASSIGN_OR_RETURN(result.repository, synthesizer.BuildRepository());
 
   // Intern the full universes upfront so unused entries exist with
   // zero importance (Fig 7's unused tail; Table 7 profiles).
@@ -318,7 +311,7 @@ Result<StudyResult> RunStudy(const StudyOptions& options) {
   // The link fingerprint folds every registered library's content hash in
   // registration order; it keys per-executable resolutions, which are only
   // valid against an identical library set.
-  LibraryResolver resolver(executor);
+  auto resolver = std::make_unique<LibraryResolver>(executor);
   uint64_t link_fp = ctx.resolution_fp;
   {
     runtime::StageTimer timer(&stats, "core-libs");
@@ -350,7 +343,7 @@ Result<StudyResult> RunStudy(const StudyOptions& options) {
       if (analyzed.from_cache) {
         ++result.analyses_from_cache;
       }
-      LAPIS_RETURN_IF_ERROR(RegisterLibrary(analyzed, ctx, resolver));
+      LAPIS_RETURN_IF_ERROR(RegisterLibrary(analyzed, ctx, *resolver));
       link_fp = cache::HashU64(analyzed.content_hash, link_fp);
       result.binary_stats.elf_shared_libraries += 1;
       if (analyzed.name == kLibcSoname) {
@@ -394,7 +387,7 @@ Result<StudyResult> RunStudy(const StudyOptions& options) {
           ++result.analyses_from_cache;
         }
         if (binary.is_library) {
-          LAPIS_RETURN_IF_ERROR(RegisterLibrary(binary, ctx, resolver));
+          LAPIS_RETURN_IF_ERROR(RegisterLibrary(binary, ctx, *resolver));
           link_fp = cache::HashU64(binary.content_hash, link_fp);
           result.binary_stats.elf_shared_libraries += 1;
         } else if (binary.is_static) {
@@ -407,85 +400,74 @@ Result<StudyResult> RunStudy(const StudyOptions& options) {
     timer.AddItems(package_count);
   }
 
-  // ---- Packages, stage 3: resolve executable footprints in parallel.
-  // The resolver is fully built and read-only now, so its const fixpoint
-  // expansion is safe from any shard. ----
-  std::vector<PackageResolution> resolved;
+  // ---- Packages, stage 3: resolve executable footprints and join each
+  // package's into one on worker shards. The resolver is fully built and
+  // read-only now, so its const fixpoint expansion is safe from any shard,
+  // and so are the interner Finds of the join's shard half. Each shard frees
+  // its package's resolutions and analyses once they are joined, so that
+  // teardown runs in parallel too. ----
+  std::vector<ResolvedPackage> resolved;
   {
     runtime::StageTimer timer(&stats, "resolve");
     resolved = runtime::ParallelMap(
         executor, package_count,
-        [&analyzed, &resolver, &ctx, link_fp](size_t pkg) {
-          PackageResolution out;
+        [&analyzed, &resolver, &ctx, &result, link_fp](size_t pkg) {
+          ResolvedPackage out;
           for (const auto& binary : analyzed[pkg].binaries) {
             if (binary.is_library) {
               continue;
             }
-            if (ctx && binary.content_hash != 0) {
-              auto payload =
-                  ctx.cache->Lookup({binary.content_hash, link_fp});
-              if (payload != nullptr) {
-                ByteReader reader(*payload);
-                auto decoded = AnalysisCodec::DecodeResolution(reader);
-                if (decoded.ok()) {
-                  out.resolutions.push_back(decoded.take());
-                  ++out.from_cache;
-                  continue;
-                }
-              }
-            }
-            out.resolutions.push_back(
-                resolver.ResolveExecutable(*binary.analysis));
-            if (ctx && binary.content_hash != 0) {
-              ByteWriter writer;
-              AnalysisCodec::EncodeResolution(out.resolutions.back(),
-                                              writer);
-              ctx.cache->Insert({binary.content_hash, link_fp},
-                                writer.bytes());
-            }
+            bool from_cache = false;
+            out.footprint.Add(
+                ResolveOrDecode(binary, *resolver, ctx, link_fp, &from_cache),
+                result.path_interner, result.libc_interner);
+            ++out.executables;
+            out.from_cache += from_cache ? 1 : 0;
           }
+          out.footprint.Seal();
+          analyzed[pkg] = PackageAnalysis{};
           return out;
         });
+    analyzed = {};
     for (const auto& shard : resolved) {
-      timer.AddItems(shard.resolutions.size());
+      timer.AddItems(shard.executables);
       result.resolutions_from_cache += shard.from_cache;
     }
   }
 
-  // ---- Packages, stage 4: deterministic merge into footprints (the
-  // interners mutate, so this stays in canonical order) ----
-  std::vector<std::vector<core::ApiId>> footprints(package_count);
-  std::vector<std::set<int>> recovered_syscalls(package_count);
+  // ---- Packages, stage 4: the join's ordered fold (pseudo paths the table
+  // lacks are interned in canonical order) ----
+  std::vector<PackageFootprint> footprints(package_count);
   {
     runtime::StageTimer timer(&stats, "join");
     for (size_t pkg = 0; pkg < package_count; ++pkg) {
-      std::set<std::string> package_paths;
-      for (const auto& resolution : resolved[pkg].resolutions) {
-        auto ids = ToApiIds(resolution, result.path_interner,
-                            result.libc_interner);
-        footprints[pkg].insert(footprints[pkg].end(), ids.begin(),
-                               ids.end());
-        recovered_syscalls[pkg].insert(resolution.footprint.syscalls.begin(),
-                                       resolution.footprint.syscalls.end());
-        for (const auto& path : resolution.footprint.pseudo_paths) {
-          package_paths.insert(path);
-        }
-      }
-      for (const auto& path : package_paths) {
-        ++result.pseudo_path_binary_counts[path];
-      }
+      footprints[pkg] = std::move(resolved[pkg].footprint);
     }
+    resolved = {};
+    FoldFootprints(footprints, result.path_interner,
+                   result.pseudo_path_binary_counts);
     timer.AddItems(package_count);
   }
-  analyzed.clear();
-  resolved.clear();
 
   // Script packages inherit the interpreter's footprint (§2.3
-  // over-approximation); data packages stay empty. The Fig 1 breakdown is
-  // measured by scanning the synthesized script files' shebangs, not by
-  // trusting the plan.
+  // over-approximation); data packages stay empty. `footprint_of[pkg]` is
+  // the package whose footprint `pkg` has. The Fig 1 breakdown is measured
+  // by scanning the synthesized script files' shebangs, not by trusting
+  // the plan.
+  std::vector<size_t> footprint_of(package_count);
   {
     runtime::StageTimer timer(&stats, "scripts");
+    for (size_t pkg = 0; pkg < package_count; ++pkg) {
+      footprint_of[pkg] = pkg;
+      const PackagePlan& plan = result.spec.packages[pkg];
+      if (plan.interpreter_package.empty()) {
+        continue;
+      }
+      auto it = result.spec.by_name.find(plan.interpreter_package);
+      if (it != result.spec.by_name.end()) {
+        footprint_of[pkg] = it->second;
+      }
+    }
     auto script_shards = runtime::ParallelMap(
         executor, package_count, [&synthesizer, &result](size_t pkg) {
           PackageScripts out;
@@ -513,28 +495,18 @@ Result<StudyResult> RunStudy(const StudyOptions& options) {
       }
     }
   }
-  for (size_t pkg = 0; pkg < package_count; ++pkg) {
-    const PackagePlan& plan = result.spec.packages[pkg];
-    if (plan.interpreter_package.empty()) {
-      continue;
-    }
-    auto it = result.spec.by_name.find(plan.interpreter_package);
-    if (it != result.spec.by_name.end()) {
-      footprints[pkg] = footprints[it->second];
-      recovered_syscalls[pkg] = recovered_syscalls[it->second];
-    }
-  }
 
   // ---- Ground-truth verification ----
   if (options.verify_ground_truth) {
     runtime::StageTimer timer(&stats, "ground-truth");
     auto mismatches = runtime::ParallelMap(
         executor, package_count,
-        [&result, &recovered_syscalls](size_t pkg) -> uint8_t {
-          return result.spec.ExpectedSyscalls(pkg) !=
-                         recovered_syscalls[pkg]
-                     ? 1
-                     : 0;
+        [&result, &footprints, &footprint_of](size_t pkg) -> uint8_t {
+          return std::ranges::equal(
+                     result.spec.ExpectedSyscalls(pkg),
+                     footprints[footprint_of[pkg]].recovered_syscalls)
+                     ? 0
+                     : 1;
         });
     for (uint8_t mismatch : mismatches) {
       result.ground_truth_mismatches += mismatch;
@@ -549,7 +521,7 @@ Result<StudyResult> RunStudy(const StudyOptions& options) {
   // are re-synthesized because the analysis stage dropped their bytes.
   if (options.audit) {
     runtime::StageTimer timer(&stats, "audit");
-    analysis::FootprintAuditor auditor(&resolver, options.analyzer,
+    analysis::FootprintAuditor auditor(resolver.get(), options.analyzer,
                                        executor);
 
     struct AuditBinary {
@@ -711,7 +683,7 @@ Result<StudyResult> RunStudy(const StudyOptions& options) {
       LAPIS_RETURN_IF_ERROR(result.dataset->SetInstallCount(
           static_cast<uint32_t>(pkg), result.survey.install_counts[pkg]));
       LAPIS_RETURN_IF_ERROR(result.dataset->SetFootprint(
-          static_cast<uint32_t>(pkg), footprints[pkg]));
+          static_cast<uint32_t>(pkg), footprints[footprint_of[pkg]].apis));
       const package::Package& pkg_meta =
           result.repository.package(static_cast<package::PackageId>(pkg));
       std::vector<core::PackageId> deps(pkg_meta.depends.begin(),
@@ -761,10 +733,19 @@ Result<StudyResult> RunStudy(const StudyOptions& options) {
     }
   }
 
-  result.executor_stats = executor->stats();
   if (ctx) {
     result.cache_stats = ctx.cache->stats() - cache_start;
   }
+
+  // ---- Teardown: the run's working state is freed inside a stage, so the
+  // stage records cover all of the run ----
+  {
+    runtime::StageTimer timer(&stats, "teardown");
+    footprints = {};
+    resolver.reset();
+    owned_cache.reset();
+  }
+  result.executor_stats = executor->stats();
   return result;
 }
 

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -27,6 +28,7 @@
 #include "src/corpus/study_runner.h"
 #include "src/elf/elf_reader.h"
 #include "src/package/popcon.h"
+#include "src/runtime/executor.h"
 #include "src/util/string_pool.h"
 
 namespace lapis {
@@ -422,6 +424,118 @@ TEST(FootprintCacheTest, TruncatedRecordDegradesToRecompute) {
   EXPECT_EQ(cache.value()->stats().corrupt_entries_dropped, 1u);
   EXPECT_EQ(cache.value()->Lookup(CacheKey{1, 2}), nullptr);  // recompute
   std::filesystem::remove_all(dir);
+}
+
+// What one Open of a damaged store saw: open-time counters, surviving
+// payloads, shard file sizes afterwards, and the warnings it printed.
+struct OpenOutcome {
+  cache::CacheStats stats;
+  std::vector<std::shared_ptr<const std::vector<uint8_t>>> payloads;
+  std::vector<uintmax_t> file_sizes;  // 0 for the unreadable shards
+  std::string warnings;
+};
+
+OpenOutcome OpenDamaged(const std::filesystem::path& pristine,
+                        const std::filesystem::path& dir, size_t keys,
+                        runtime::Executor* executor) {
+  // Open truncates corrupt tails, so each open gets a fresh copy of the
+  // damaged store at the same path (the warnings name it).
+  std::filesystem::remove_all(dir);
+  std::filesystem::copy(pristine, dir,
+                        std::filesystem::copy_options::recursive);
+  OpenOutcome out;
+  testing::internal::CaptureStderr();
+  auto cache = FootprintCache::Open(dir.string(), executor);
+  out.warnings = testing::internal::GetCapturedStderr();
+  EXPECT_TRUE(cache.ok()) << cache.status().ToString();
+  if (!cache.ok()) {
+    return out;
+  }
+  out.stats = cache.value()->stats();
+  for (size_t i = 0; i < keys; ++i) {
+    out.payloads.push_back(cache.value()->Lookup(CacheKey{i, i * 7}));
+  }
+  for (size_t shard = 0; shard < FootprintCache::kShardCount; ++shard) {
+    char name[32];
+    std::snprintf(name, sizeof(name), "shard-%02zu.bin", shard);
+    const auto path = dir / name;
+    out.file_sizes.push_back(std::filesystem::is_regular_file(path)
+                                 ? std::filesystem::file_size(path)
+                                 : 0);
+  }
+  return out;
+}
+
+TEST(FootprintCacheTest, ParallelOpenOfDamagedStoreMatchesSerialOpen) {
+  const auto root = std::filesystem::temp_directory_path() /
+                    "lapis-cache-test-parallel-open";
+  std::filesystem::remove_all(root);
+  const auto pristine = root / "damaged";
+  constexpr size_t kKeys = 160;  // ten records in every shard
+  {
+    auto cache = FootprintCache::Open(pristine.string());
+    ASSERT_TRUE(cache.ok());
+    for (size_t i = 0; i < kKeys; ++i) {
+      cache.value()->Insert(CacheKey{i, i * 7},
+                            Payload(static_cast<uint8_t>(i), 40 + i % 9));
+    }
+  }
+  auto shard_path = [&pristine](size_t shard) {
+    char name[32];
+    std::snprintf(name, sizeof(name), "shard-%02zu.bin", shard);
+    return pristine / name;
+  };
+  // Garbage tails on three shards, a record cut in half on a fourth...
+  for (size_t shard : {2, 5, 11}) {
+    std::ofstream out(shard_path(shard), std::ios::app | std::ios::binary);
+    out.write("\x13garbage-not-a-record", 21);
+  }
+  const auto cut = shard_path(7);
+  std::filesystem::resize_file(cut, std::filesystem::file_size(cut) - 13);
+  // ...and two logs that cannot be read (a directory in a log's place).
+  for (size_t shard : {4, 13}) {
+    std::filesystem::remove(shard_path(shard));
+    std::filesystem::create_directory(shard_path(shard));
+  }
+
+  const auto dir = root / "open";
+  const OpenOutcome serial = OpenDamaged(pristine, dir, kKeys, nullptr);
+  EXPECT_EQ(serial.stats.corrupt_entries_dropped, 4u);
+  EXPECT_EQ(serial.stats.truncated_tails, 4u);
+  EXPECT_EQ(serial.stats.open_failures, 2u);
+  EXPECT_EQ(serial.stats.quarantined_shards, 2u);
+  EXPECT_EQ(serial.stats.entries_loaded, kKeys - 21);  // 2x10 lost, 1 cut
+  EXPECT_EQ(serial.stats.entries, serial.stats.entries_loaded);
+  const size_t first = serial.warnings.find("shard 04 quarantined");
+  const size_t second = serial.warnings.find("shard 13 quarantined");
+  ASSERT_NE(first, std::string::npos) << serial.warnings;
+  ASSERT_NE(second, std::string::npos) << serial.warnings;
+  EXPECT_LT(first, second);
+
+  runtime::Executor four(4);
+  for (int round = 0; round < 4; ++round) {
+    const OpenOutcome parallel = OpenDamaged(pristine, dir, kKeys, &four);
+    EXPECT_EQ(parallel.stats.entries_loaded, serial.stats.entries_loaded);
+    EXPECT_EQ(parallel.stats.corrupt_entries_dropped,
+              serial.stats.corrupt_entries_dropped);
+    EXPECT_EQ(parallel.stats.entries, serial.stats.entries);
+    EXPECT_EQ(parallel.stats.truncated_tails, serial.stats.truncated_tails);
+    EXPECT_EQ(parallel.stats.open_failures, serial.stats.open_failures);
+    EXPECT_EQ(parallel.stats.quarantined_shards,
+              serial.stats.quarantined_shards);
+    ASSERT_EQ(parallel.payloads.size(), serial.payloads.size());
+    for (size_t i = 0; i < kKeys; ++i) {
+      ASSERT_EQ(parallel.payloads[i] == nullptr,
+                serial.payloads[i] == nullptr)
+          << "key " << i;
+      if (serial.payloads[i] != nullptr) {
+        EXPECT_EQ(*parallel.payloads[i], *serial.payloads[i]) << "key " << i;
+      }
+    }
+    EXPECT_EQ(parallel.file_sizes, serial.file_sizes);
+    EXPECT_EQ(parallel.warnings, serial.warnings);
+  }
+  std::filesystem::remove_all(root);
 }
 
 TEST(FootprintCacheTest, ConcurrentInsertLookupHammer) {

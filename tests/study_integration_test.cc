@@ -39,6 +39,12 @@ TEST(StudyIntegration, PipelineRecoversPlannedFootprintsExactly) {
   EXPECT_GT(Study().analyzed_binaries, 400u);
 }
 
+// The join tests libc-universe membership with a libc_interner Find, which
+// is only valid while the interner holds exactly the universe.
+TEST(StudyIntegration, LibcInternerHoldsExactlyTheUniverse) {
+  EXPECT_EQ(Study().libc_interner.size(), corpus::LibcUniverse().size());
+}
+
 TEST(StudyIntegration, StartupSyscallsAreUniversallyImportant) {
   const auto& dataset = *Study().dataset;
   for (int nr : corpus::StartupSyscalls()) {
