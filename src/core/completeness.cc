@@ -6,117 +6,153 @@ namespace lapis::core {
 
 namespace {
 
-bool KindEvaluated(const CompletenessOptions& options, ApiKind kind) {
-  return options.evaluated_kinds.empty() ||
-         options.evaluated_kinds.contains(kind);
+constexpr uint32_t kAllKinds = (1u << kApiKindCount) - 1;
+
+uint32_t MaskOf(const std::set<ApiKind>& kinds) {
+  uint32_t mask = 0;
+  for (ApiKind kind : kinds) {
+    mask |= 1u << static_cast<uint32_t>(kind);
+  }
+  return mask;
 }
 
-// Weighted completeness from a per-package "self-supported" vector,
-// applying dependency poisoning through closures.
-double CompletenessFromSelfOk(const StudyDataset& dataset,
-                              const std::vector<bool>& self_ok) {
-  double supported_weight = 0.0;
-  double total_weight = 0.0;
-  for (PackageId id = 0; id < dataset.package_count(); ++id) {
-    double p = dataset.InstallProbability(id);
-    total_weight += p;
-    bool ok = true;
-    for (PackageId member : dataset.DependencyClosure(id)) {
-      if (!self_ok[member]) {
-        ok = false;
-        break;
+// Calls `fn(ordinal)` for every API ordinal of the kinds in `mask`.
+template <typename Fn>
+void ForEachOrdinal(const StudyDataset& dataset, uint32_t mask, Fn fn) {
+  for (int k = 0; k < kApiKindCount; ++k) {
+    if ((mask & (1u << k)) != 0) {
+      auto [first, last] = dataset.KindOrdinals(static_cast<ApiKind>(k));
+      for (uint32_t ordinal = first; ordinal < last; ++ordinal) {
+        fn(ordinal);
       }
     }
-    if (ok) {
-      supported_weight += p;
+  }
+}
+
+// Applies dependency poisoning through the closures to per-package
+// "self-supported" flags and sums, in package-id order, the install
+// probability of every package left supported.
+SupportSummary Summarize(const StudyDataset& dataset,
+                         const std::vector<uint8_t>& self_ok,
+                         std::vector<bool>* flags) {
+  const std::span<const double> weight = dataset.InstallProbabilities();
+  SupportSummary summary;
+  double supported_weight = 0.0;
+  double total_weight = 0.0;
+  if (flags != nullptr) {
+    flags->assign(dataset.package_count(), false);
+  }
+  for (PackageId id = 0; id < dataset.package_count(); ++id) {
+    uint8_t ok = 1;
+    for (PackageId member : dataset.DependencyClosure(id)) {
+      ok &= self_ok[member];
+    }
+    // Branch-free: adding +0.0 for an unsupported package leaves the sum's
+    // bits unchanged, since the sum starts at +0.0 and never goes negative.
+    total_weight += weight[id];
+    supported_weight += weight[id] * ok;
+    summary.supported_packages += ok;
+    if (flags != nullptr) {
+      (*flags)[id] = ok != 0;
     }
   }
-  if (total_weight == 0.0) {
-    return 0.0;
+  if (total_weight != 0.0) {
+    summary.weighted_completeness = supported_weight / total_weight;
   }
-  return supported_weight / total_weight;
+  return summary;
+}
+
+std::vector<uint8_t> OrdinalFlags(const StudyDataset& dataset,
+                                  const std::set<ApiId>& supported) {
+  std::vector<uint8_t> flags(dataset.Apis().size(), 0);
+  for (const ApiId& api : supported) {
+    uint32_t ordinal = dataset.ApiOrdinal(api);
+    if (ordinal != kNoApiOrdinal) {
+      flags[ordinal] = 1;
+    }
+  }
+  return flags;
+}
+
+// Adds the APIs of `order` one at a time and records the weighted
+// completeness after each, counting a package as self-supported once all
+// its APIs of the `mask` kinds are in. The sum is redone only when some
+// package became self-supported; otherwise the previous value stands.
+std::vector<PathPoint> WalkPath(const StudyDataset& dataset,
+                                const std::vector<ApiId>& order,
+                                uint32_t mask) {
+  // missing[pkg] = APIs of the `mask` kinds in the footprint not yet added.
+  std::vector<uint32_t> missing(dataset.package_count(), 0);
+  ForEachOrdinal(dataset, mask, [&](uint32_t ordinal) {
+    for (PackageId pkg : dataset.DependentsAt(ordinal)) {
+      ++missing[pkg];
+    }
+  });
+  std::vector<PathPoint> path;
+  path.reserve(order.size());
+  std::vector<uint8_t> self_ok(dataset.package_count());
+  double completeness = 0.0;
+  for (const ApiId& api : order) {
+    bool changed = path.empty();
+    uint32_t ordinal = dataset.ApiOrdinal(api);
+    if (ordinal != kNoApiOrdinal) {
+      for (PackageId pkg : dataset.DependentsAt(ordinal)) {
+        changed |= --missing[pkg] == 0;
+      }
+    }
+    if (changed) {
+      for (PackageId id = 0; id < dataset.package_count(); ++id) {
+        self_ok[id] = missing[id] == 0;
+      }
+      completeness =
+          Summarize(dataset, self_ok, nullptr).weighted_completeness;
+    }
+    path.push_back(PathPoint{api, dataset.ApiImportance(api), completeness});
+  }
+  return path;
 }
 
 }  // namespace
 
+SupportSummary EvaluateSupport(const StudyDataset& dataset,
+                               std::span<const uint8_t> supported,
+                               uint32_t kinds_mask,
+                               std::vector<bool>* flags) {
+  kinds_mask &= kAllKinds;
+  std::vector<uint8_t> self_ok(dataset.package_count(), 1);
+  ForEachOrdinal(dataset, kinds_mask == 0 ? kAllKinds : kinds_mask,
+                 [&](uint32_t ordinal) {
+                   if (supported[ordinal] == 0) {
+                     for (PackageId pkg : dataset.DependentsAt(ordinal)) {
+                       self_ok[pkg] = 0;
+                     }
+                   }
+                 });
+  return Summarize(dataset, self_ok, flags);
+}
+
 std::vector<bool> SupportedPackages(const StudyDataset& dataset,
                                     const std::set<ApiId>& supported,
                                     const CompletenessOptions& options) {
-  std::vector<bool> self_ok(dataset.package_count(), true);
-  for (PackageId id = 0; id < dataset.package_count(); ++id) {
-    for (const ApiId& api : dataset.Footprint(id)) {
-      if (!KindEvaluated(options, api.kind)) {
-        continue;
-      }
-      if (supported.find(api) == supported.end()) {
-        self_ok[id] = false;
-        break;
-      }
-    }
-  }
-  // Apply dependency poisoning.
-  std::vector<bool> out(dataset.package_count(), true);
-  for (PackageId id = 0; id < dataset.package_count(); ++id) {
-    for (PackageId member : dataset.DependencyClosure(id)) {
-      if (!self_ok[member]) {
-        out[id] = false;
-        break;
-      }
-    }
-  }
-  return out;
+  std::vector<bool> flags;
+  EvaluateSupport(dataset, OrdinalFlags(dataset, supported),
+                  MaskOf(options.evaluated_kinds), &flags);
+  return flags;
 }
 
 double WeightedCompleteness(const StudyDataset& dataset,
                             const std::set<ApiId>& supported,
                             const CompletenessOptions& options) {
-  std::vector<bool> self_ok(dataset.package_count(), true);
-  for (PackageId id = 0; id < dataset.package_count(); ++id) {
-    for (const ApiId& api : dataset.Footprint(id)) {
-      if (!KindEvaluated(options, api.kind)) {
-        continue;
-      }
-      if (supported.find(api) == supported.end()) {
-        self_ok[id] = false;
-        break;
-      }
-    }
-  }
-  return CompletenessFromSelfOk(dataset, self_ok);
+  return EvaluateSupport(dataset, OrdinalFlags(dataset, supported),
+                         MaskOf(options.evaluated_kinds))
+      .weighted_completeness;
 }
 
 std::vector<PathPoint> GreedyCompletenessPath(
     const StudyDataset& dataset, ApiKind kind,
     const std::vector<ApiId>& universe) {
-  std::vector<ApiId> order = dataset.RankByImportance(kind, universe);
-
-  // missing[pkg] = number of `kind` APIs in the footprint not yet supported.
-  std::vector<uint32_t> missing(dataset.package_count(), 0);
-  for (PackageId id = 0; id < dataset.package_count(); ++id) {
-    for (const ApiId& api : dataset.Footprint(id)) {
-      if (api.kind == kind) {
-        ++missing[id];
-      }
-    }
-  }
-
-  std::vector<PathPoint> path;
-  path.reserve(order.size());
-  std::vector<bool> self_ok(dataset.package_count());
-  for (const ApiId& api : order) {
-    for (PackageId pkg : dataset.Dependents(api)) {
-      --missing[pkg];
-    }
-    for (PackageId id = 0; id < dataset.package_count(); ++id) {
-      self_ok[id] = missing[id] == 0;
-    }
-    PathPoint point;
-    point.api = api;
-    point.importance = dataset.ApiImportance(api);
-    point.weighted_completeness = CompletenessFromSelfOk(dataset, self_ok);
-    path.push_back(point);
-  }
-  return path;
+  return WalkPath(dataset, dataset.RankByImportance(kind, universe),
+                  MaskOf({kind}));
 }
 
 std::vector<PathPoint> GreedyCompletenessPathMultiKind(
@@ -142,33 +178,7 @@ std::vector<PathPoint> GreedyCompletenessPathMultiKind(
                      }
                      return a < b;
                    });
-
-  std::vector<uint32_t> missing(dataset.package_count(), 0);
-  for (PackageId id = 0; id < dataset.package_count(); ++id) {
-    for (const ApiId& api : dataset.Footprint(id)) {
-      if (kinds.contains(api.kind)) {
-        ++missing[id];
-      }
-    }
-  }
-
-  std::vector<PathPoint> path;
-  path.reserve(order.size());
-  std::vector<bool> self_ok(dataset.package_count());
-  for (const ApiId& api : order) {
-    for (PackageId pkg : dataset.Dependents(api)) {
-      --missing[pkg];
-    }
-    for (PackageId id = 0; id < dataset.package_count(); ++id) {
-      self_ok[id] = missing[id] == 0;
-    }
-    PathPoint point;
-    point.api = api;
-    point.importance = dataset.ApiImportance(api);
-    point.weighted_completeness = CompletenessFromSelfOk(dataset, self_ok);
-    path.push_back(point);
-  }
-  return path;
+  return WalkPath(dataset, order, MaskOf(kinds));
 }
 
 std::vector<Stage> DecomposeStages(const std::vector<PathPoint>& path,

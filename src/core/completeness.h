@@ -9,7 +9,9 @@
 #ifndef LAPIS_SRC_CORE_COMPLETENESS_H_
 #define LAPIS_SRC_CORE_COMPLETENESS_H_
 
+#include <cstdint>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "src/core/dataset.h"
@@ -21,6 +23,21 @@ struct CompletenessOptions {
   // kinds are assumed supported. Empty means "all kinds evaluated".
   std::set<ApiKind> evaluated_kinds;
 };
+
+// WeightedCompleteness and the supported-package count from one pass over
+// the dataset's dense index. `supported` holds one flag per API ordinal
+// (StudyDataset::ApiOrdinal; nonzero = supported). `kinds_mask` has bit k
+// set for each evaluated ApiKind k; bits at or above kApiKindCount are
+// ignored, and a mask with no bit below it evaluates every kind. `flags`,
+// when given, receives the SupportedPackages vector.
+struct SupportSummary {
+  double weighted_completeness = 0.0;
+  uint32_t supported_packages = 0;
+};
+SupportSummary EvaluateSupport(const StudyDataset& dataset,
+                               std::span<const uint8_t> supported,
+                               uint32_t kinds_mask,
+                               std::vector<bool>* flags = nullptr);
 
 // Expected fraction of an installation's packages that work on a system
 // supporting exactly `supported` (§A.2 approximation).
@@ -44,8 +61,10 @@ struct PathPoint {
 
 // Implements §3.2: rank APIs of `kind` by importance, add them one at a
 // time, record cumulative weighted completeness. `universe` adds
-// zero-importance APIs (they land at the tail). Runs incrementally: O(path
-// length x packages x closure).
+// zero-importance APIs (they land at the tail). Runs incrementally over
+// per-package missing counters; completeness is re-summed (O(packages +
+// closure entries)) only at steps where some package's last missing API
+// was added.
 std::vector<PathPoint> GreedyCompletenessPath(
     const StudyDataset& dataset, ApiKind kind,
     const std::vector<ApiId>& universe = {});

@@ -1,11 +1,11 @@
 #include "src/core/dataset.h"
 
 #include <algorithm>
-#include <deque>
+#include <numeric>
+#include <set>
+#include <unordered_map>
 
 namespace lapis::core {
-
-const std::vector<PackageId> StudyDataset::kNoDependents;
 
 StudyDataset::StudyDataset(size_t package_count, uint64_t total_installations)
     : total_installations_(total_installations),
@@ -13,7 +13,8 @@ StudyDataset::StudyDataset(size_t package_count, uint64_t total_installations)
       install_counts_(package_count, 0),
       footprints_(package_count),
       depends_(package_count),
-      closures_(package_count) {}
+      footprint_begin_(package_count + 1, 0),
+      closure_begin_(package_count + 1, 0) {}
 
 Status StudyDataset::CheckConstruction(PackageId id) {
   if (finalized_) {
@@ -65,34 +66,105 @@ Status StudyDataset::Finalize() {
   if (finalized_) {
     return FailedPreconditionError("dataset already finalized");
   }
-  // Dependents index.
-  for (PackageId id = 0; id < footprints_.size(); ++id) {
-    for (const ApiId& api : footprints_[id]) {
-      dependents_[api.Encode()].push_back(id);
+  const size_t n = names_.size();
+  install_probability_.resize(n);
+  for (PackageId id = 0; id < n; ++id) {
+    install_probability_[id] = InstallProbability(id);
+  }
+
+  // API ordinals: give each distinct footprint API a provisional id in
+  // first-seen order, then renumber the ids in sorted-API order.
+  for (PackageId id = 0; id < n; ++id) {
+    footprint_begin_[id + 1] = footprint_begin_[id] +
+                               static_cast<uint32_t>(footprints_[id].size());
+  }
+  footprint_ordinals_.reserve(footprint_begin_[n]);
+  std::unordered_map<int64_t, uint32_t> provisional;
+  for (const auto& footprint : footprints_) {
+    for (const ApiId& api : footprint) {
+      auto [it, added] = provisional.try_emplace(
+          api.Encode(), static_cast<uint32_t>(apis_.size()));
+      if (added) {
+        apis_.push_back(api);
+      }
+      footprint_ordinals_.push_back(it->second);
     }
   }
-  // Dependency closures (BFS, cycle-safe).
-  std::vector<bool> visited(names_.size());
-  for (PackageId id = 0; id < names_.size(); ++id) {
-    std::fill(visited.begin(), visited.end(), false);
-    std::deque<PackageId> queue = {id};
-    while (!queue.empty()) {
-      PackageId current = queue.front();
-      queue.pop_front();
-      if (visited[current]) {
-        continue;
+  footprints_ = {};
+  std::vector<uint32_t> ordinal_of(apis_.size());  // by provisional id
+  {
+    std::vector<uint32_t> by_ordinal(apis_.size());  // provisional ids
+    std::iota(by_ordinal.begin(), by_ordinal.end(), 0u);
+    std::sort(by_ordinal.begin(), by_ordinal.end(),
+              [this](uint32_t a, uint32_t b) { return apis_[a] < apis_[b]; });
+    std::vector<ApiId> sorted(apis_.size());
+    for (uint32_t ordinal = 0; ordinal < sorted.size(); ++ordinal) {
+      sorted[ordinal] = apis_[by_ordinal[ordinal]];
+      ordinal_of[by_ordinal[ordinal]] = ordinal;
+    }
+    apis_ = std::move(sorted);
+  }
+  for (int k = 0; k <= kApiKindCount; ++k) {
+    kind_begin_[static_cast<size_t>(k)] = static_cast<uint32_t>(
+        std::lower_bound(apis_.begin(), apis_.end(),
+                         ApiId{static_cast<ApiKind>(k), 0}) -
+        apis_.begin());
+  }
+
+  // Dependents CSR, filled in package order so each list ascends.
+  // Renumbering keeps each footprint ascending: ordinals follow API order.
+  dependent_begin_.assign(apis_.size() + 1, 0);
+  for (uint32_t& ordinal : footprint_ordinals_) {
+    ordinal = ordinal_of[ordinal];
+    ++dependent_begin_[ordinal + 1];
+  }
+  std::partial_sum(dependent_begin_.begin(), dependent_begin_.end(),
+                   dependent_begin_.begin());
+  dependents_.resize(footprint_ordinals_.size());
+  {
+    std::vector<uint32_t> cursor(dependent_begin_.begin(),
+                                 dependent_begin_.end() - 1);
+    for (PackageId id = 0; id < n; ++id) {
+      for (uint32_t ordinal : FootprintOrdinals(id)) {
+        dependents_[cursor[ordinal]++] = id;
       }
-      visited[current] = true;
-      closures_[id].push_back(current);
-      for (PackageId dep : depends_[current]) {
-        if (!visited[dep]) {
-          queue.push_back(dep);
+    }
+  }
+
+  // Importance per ordinal, multiplied in dependents order as
+  // ApiImportance has always been.
+  importance_.resize(apis_.size());
+  unweighted_.resize(apis_.size());
+  for (uint32_t ordinal = 0; ordinal < apis_.size(); ++ordinal) {
+    double prob_none = 1.0;
+    for (PackageId pkg : DependentsAt(ordinal)) {
+      prob_none *= 1.0 - install_probability_[pkg];
+    }
+    importance_[ordinal] = 1.0 - prob_none;
+    unweighted_[ordinal] = static_cast<double>(DependentsAt(ordinal).size()) /
+                           static_cast<double>(n);
+  }
+
+  // Dependency closures (BFS, cycle-safe): `seen[p] == id + 1` marks p as
+  // reached from `id`.
+  closure_begin_.assign(n + 1, 0);
+  std::vector<uint32_t> seen(n, 0);
+  for (PackageId id = 0; id < n; ++id) {
+    size_t head = closures_.size();
+    closures_.push_back(id);
+    seen[id] = id + 1;
+    for (; head < closures_.size(); ++head) {
+      for (PackageId dep : depends_[closures_[head]]) {
+        if (seen[dep] != id + 1) {
+          seen[dep] = id + 1;
+          closures_.push_back(dep);
         }
       }
     }
+    closure_begin_[id + 1] = static_cast<uint32_t>(closures_.size());
   }
   // Name lookup.
-  for (PackageId id = 0; id < names_.size(); ++id) {
+  for (PackageId id = 0; id < n; ++id) {
     if (!names_[id].empty()) {
       by_name_.emplace(names_[id], id);
     }
@@ -114,46 +186,46 @@ double StudyDataset::InstallProbability(PackageId id) const {
          static_cast<double>(total_installations_);
 }
 
-const std::vector<ApiId>& StudyDataset::Footprint(PackageId id) const {
-  return footprints_[id];
+std::vector<ApiId> StudyDataset::Footprint(PackageId id) const {
+  if (!finalized_) {
+    return footprints_[id];
+  }
+  std::vector<ApiId> footprint;
+  footprint.reserve(FootprintOrdinals(id).size());
+  for (uint32_t ordinal : FootprintOrdinals(id)) {
+    footprint.push_back(apis_[ordinal]);
+  }
+  return footprint;
 }
 
-const std::vector<PackageId>& StudyDataset::DependencyClosure(
-    PackageId id) const {
-  return closures_[id];
+uint32_t StudyDataset::ApiOrdinal(ApiId api) const {
+  auto it = std::lower_bound(apis_.begin(), apis_.end(), api);
+  return it != apis_.end() && *it == api
+             ? static_cast<uint32_t>(it - apis_.begin())
+             : kNoApiOrdinal;
 }
 
-const std::vector<PackageId>& StudyDataset::Dependents(ApiId api) const {
-  auto it = dependents_.find(api.Encode());
-  return it == dependents_.end() ? kNoDependents : it->second;
+std::span<const PackageId> StudyDataset::Dependents(ApiId api) const {
+  uint32_t ordinal = ApiOrdinal(api);
+  if (ordinal == kNoApiOrdinal) {
+    return {};
+  }
+  return DependentsAt(ordinal);
 }
 
 double StudyDataset::ApiImportance(ApiId api) const {
-  double prob_none = 1.0;
-  for (PackageId pkg : Dependents(api)) {
-    prob_none *= 1.0 - InstallProbability(pkg);
-  }
-  return 1.0 - prob_none;
+  uint32_t ordinal = ApiOrdinal(api);
+  return ordinal == kNoApiOrdinal ? 0.0 : importance_[ordinal];
 }
 
 double StudyDataset::UnweightedImportance(ApiId api) const {
-  if (names_.empty()) {
-    return 0.0;
-  }
-  return static_cast<double>(Dependents(api).size()) /
-         static_cast<double>(names_.size());
+  uint32_t ordinal = ApiOrdinal(api);
+  return ordinal == kNoApiOrdinal ? 0.0 : unweighted_[ordinal];
 }
 
 std::vector<ApiId> StudyDataset::ApisOfKind(ApiKind kind) const {
-  std::vector<ApiId> out;
-  for (const auto& [encoded, pkgs] : dependents_) {
-    (void)pkgs;
-    ApiId api = ApiId::Decode(encoded);
-    if (api.kind == kind) {
-      out.push_back(api);
-    }
-  }
-  return out;
+  auto [first, last] = KindOrdinals(kind);
+  return {apis_.begin() + first, apis_.begin() + last};
 }
 
 namespace {
@@ -223,13 +295,16 @@ std::vector<ApiId> StudyDataset::RankByUnweightedImportance(
 StudyDataset::FootprintUniqueness StudyDataset::ComputeFootprintUniqueness()
     const {
   FootprintUniqueness result;
-  std::map<std::vector<ApiId>, size_t> counts;
-  for (const auto& fp : footprints_) {
+  // Ordinals stand for APIs one to one, so equal ordinal lists are equal
+  // footprints.
+  std::map<std::vector<uint32_t>, size_t> counts;
+  for (PackageId id = 0; id < package_count(); ++id) {
+    std::span<const uint32_t> fp = FootprintOrdinals(id);
     if (fp.empty()) {
       continue;
     }
     ++result.packages_with_footprint;
-    ++counts[fp];
+    ++counts[std::vector<uint32_t>(fp.begin(), fp.end())];
   }
   result.distinct = counts.size();
   for (const auto& [fp, count] : counts) {

@@ -4,14 +4,24 @@
 // installation count (from the popularity-contest survey), and the APT
 // dependency edges. All metrics — API importance, unweighted API importance,
 // weighted completeness — are computed from this one structure.
+//
+// Finalize builds one dense index over it. Every API that appears in some
+// footprint gets an ordinal: its position in the sorted API list, so each
+// kind is one contiguous ordinal range. Footprints (as ordinals),
+// dependents and dependency closures are CSR arrays, and each ordinal's
+// importance and unweighted importance are precomputed, so a point lookup
+// is a binary search plus a load and a completeness evaluation is a pass
+// over flat arrays (completeness.h).
 
 #ifndef LAPIS_SRC_CORE_DATASET_H_
 #define LAPIS_SRC_CORE_DATASET_H_
 
+#include <array>
 #include <cstdint>
 #include <map>
-#include <set>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/api_id.h"
@@ -20,6 +30,9 @@
 namespace lapis::core {
 
 using PackageId = uint32_t;
+
+// StudyDataset::ApiOrdinal of an API no footprint mentions.
+inline constexpr uint32_t kNoApiOrdinal = UINT32_MAX;
 
 class StudyDataset {
  public:
@@ -31,8 +44,9 @@ class StudyDataset {
   Status SetFootprint(PackageId id, std::vector<ApiId> footprint);
   // Direct dependency edges (closure is computed in Finalize).
   Status SetDependencies(PackageId id, std::vector<PackageId> depends);
-  // Builds dependents indexes and dependency closures. Must be called before
-  // any query; construction calls afterwards are rejected.
+  // Builds the dense index (ordinals, dependents, closures, importance).
+  // Must be called before any query; construction calls afterwards are
+  // rejected.
   Status Finalize();
 
   // ---- Basic accessors ----
@@ -41,18 +55,51 @@ class StudyDataset {
   const std::string& PackageName(PackageId id) const { return names_[id]; }
   PackageId FindPackage(std::string_view name) const;  // UINT32_MAX if absent
   double InstallProbability(PackageId id) const;
+  // InstallProbability of every package, by id (built by Finalize).
+  std::span<const double> InstallProbabilities() const {
+    return install_probability_;
+  }
   uint64_t InstallCount(PackageId id) const { return install_counts_[id]; }
-  const std::vector<ApiId>& Footprint(PackageId id) const;
-  const std::vector<PackageId>& DependencyClosure(PackageId id) const;
+  // The package's footprint, ascending; built from the index once
+  // finalized (the per-package vectors are only kept until then).
+  std::vector<ApiId> Footprint(PackageId id) const;
+  // The API ordinals of Footprint(id), ascending.
+  std::span<const uint32_t> FootprintOrdinals(PackageId id) const {
+    return {footprint_ordinals_.data() + footprint_begin_[id],
+            footprint_ordinals_.data() + footprint_begin_[id + 1]};
+  }
+  // `id` first, then its transitive dependencies in breadth-first order.
+  std::span<const PackageId> DependencyClosure(PackageId id) const {
+    return {closures_.data() + closure_begin_[id],
+            closures_.data() + closure_begin_[id + 1]};
+  }
   // The direct dependency edges as set (closure is derived in Finalize).
   const std::vector<PackageId>& DirectDependencies(PackageId id) const {
     return depends_[id];
   }
   bool finalized() const { return finalized_; }
 
+  // ---- Dense API index ----
+  // Every API in at least one footprint, sorted (kind-major); an API's
+  // ordinal is its position here.
+  std::span<const ApiId> Apis() const { return apis_; }
+  // kNoApiOrdinal when no footprint mentions `api`.
+  uint32_t ApiOrdinal(ApiId api) const;
+  // The ordinals of `kind`: [first, second).
+  std::pair<uint32_t, uint32_t> KindOrdinals(ApiKind kind) const {
+    const auto k = static_cast<size_t>(kind);
+    return {kind_begin_[k], kind_begin_[k + 1]};
+  }
+  // Packages whose footprint contains the API at `ordinal`, ascending.
+  std::span<const PackageId> DependentsAt(uint32_t ordinal) const {
+    return {dependents_.data() + dependent_begin_[ordinal],
+            dependents_.data() + dependent_begin_[ordinal + 1]};
+  }
+
   // ---- Metrics ----
-  // Packages whose footprint contains `api` (paper: Dependents(api)).
-  const std::vector<PackageId>& Dependents(ApiId api) const;
+  // Packages whose footprint contains `api` (paper: Dependents(api)),
+  // ascending.
+  std::span<const PackageId> Dependents(ApiId api) const;
 
   // API importance (§A.1): probability a random installation contains at
   // least one package requiring `api`, assuming independent installs:
@@ -62,7 +109,7 @@ class StudyDataset {
   // Unweighted API importance (§5): fraction of packages using `api`.
   double UnweightedImportance(ApiId api) const;
 
-  // Every API of `kind` appearing in at least one footprint.
+  // Every API of `kind` appearing in at least one footprint, ascending.
   std::vector<ApiId> ApisOfKind(ApiKind kind) const;
 
   // APIs of `kind` ranked by descending importance (stable tie-break on
@@ -89,11 +136,21 @@ class StudyDataset {
   std::vector<std::string> names_;
   std::map<std::string, PackageId, std::less<>> by_name_;
   std::vector<uint64_t> install_counts_;
-  std::vector<std::vector<ApiId>> footprints_;
+  std::vector<std::vector<ApiId>> footprints_;  // until Finalize
   std::vector<std::vector<PackageId>> depends_;
-  std::vector<std::vector<PackageId>> closures_;
-  std::map<int64_t, std::vector<PackageId>> dependents_;
-  static const std::vector<PackageId> kNoDependents;
+  std::vector<double> install_probability_;
+
+  // The dense index; see the file comment.
+  std::vector<ApiId> apis_;
+  std::array<uint32_t, kApiKindCount + 1> kind_begin_{};
+  std::vector<uint32_t> footprint_begin_;  // per package, plus an end
+  std::vector<uint32_t> footprint_ordinals_;
+  std::vector<uint32_t> dependent_begin_;  // per ordinal, plus an end
+  std::vector<PackageId> dependents_;
+  std::vector<double> importance_;  // ApiImportance per ordinal
+  std::vector<double> unweighted_;  // UnweightedImportance per ordinal
+  std::vector<uint32_t> closure_begin_;  // per package, plus an end
+  std::vector<PackageId> closures_;
 };
 
 }  // namespace lapis::core

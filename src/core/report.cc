@@ -61,13 +61,14 @@ Status ExportPackagesTsv(const StudyDataset& dataset, std::ostream& os) {
   }
   os << "package\tinstall_probability\tfootprint_apis\tsyscalls\n";
   for (PackageId id = 0; id < dataset.package_count(); ++id) {
+    const std::vector<ApiId> footprint = dataset.Footprint(id);
     size_t syscalls = 0;
-    for (const ApiId& api : dataset.Footprint(id)) {
+    for (const ApiId& api : footprint) {
       syscalls += api.kind == ApiKind::kSyscall ? 1 : 0;
     }
     os << dataset.PackageName(id) << '\t'
        << FormatDouble(dataset.InstallProbability(id), 6) << '\t'
-       << dataset.Footprint(id).size() << '\t' << syscalls << '\n';
+       << footprint.size() << '\t' << syscalls << '\n';
   }
   if (!os.good()) {
     return IoError("write failed");

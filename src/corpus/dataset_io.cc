@@ -51,10 +51,10 @@ Status SerializeStudy(const StudyResult& study, ByteWriter& writer) {
     for (core::PackageId dep : deps) {
       writer.PutU32(dep);
     }
-    const auto& footprint = dataset.Footprint(pkg);
+    const auto footprint = dataset.FootprintOrdinals(pkg);
     writer.PutU32(static_cast<uint32_t>(footprint.size()));
-    for (const core::ApiId& api : footprint) {
-      writer.PutI64(api.Encode());
+    for (uint32_t ordinal : footprint) {
+      writer.PutI64(dataset.Apis()[ordinal].Encode());
     }
   }
   SerializeInterner(study.path_interner, writer);

@@ -1,6 +1,6 @@
 #include "src/corpus/syscall_table.h"
 
-#include <map>
+#include <unordered_map>
 
 namespace lapis::corpus {
 
@@ -349,8 +349,8 @@ std::string_view SyscallName(int nr) {
 }
 
 std::optional<int> SyscallNumber(std::string_view name) {
-  static const std::map<std::string_view, int>* kIndex = [] {
-    auto* index = new std::map<std::string_view, int>();
+  static const std::unordered_map<std::string_view, int>* kIndex = [] {
+    auto* index = new std::unordered_map<std::string_view, int>();
     for (int i = 0; i < kSyscallCount; ++i) {
       index->emplace(kNames[i], i);
     }

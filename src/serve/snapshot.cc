@@ -1,9 +1,9 @@
 #include "src/serve/snapshot.h"
 
-#include <cstdio>
-#include <set>
+#include <malloc.h>
 
 #include <algorithm>
+#include <cstdio>
 
 #include "src/cache/content_hash.h"
 #include "src/core/completeness.h"
@@ -50,10 +50,27 @@ bool ParseCode(std::string_view s, uint32_t* out) {
   return true;
 }
 
+// A process that loads a snapshot serves it: keep freed heap for reuse
+// instead of returning it to the kernel. glibc otherwise trims a thread's
+// heap once its free top passes a threshold that adapts to past frees, so
+// whether serving hands back memory that earlier work left in an arena
+// depends on which freed arena a new thread inherits, and the resident
+// size differs from one start of the same process to the next. 64 MiB is
+// as much as one thread heap holds. Process-wide, set once.
+void RetainFreedHeap() {
+#ifdef __GLIBC__
+  static const bool retained = [] {
+    return mallopt(M_TRIM_THRESHOLD, 64 << 20) == 1;
+  }();
+  (void)retained;
+#endif
+}
+
 }  // namespace
 
 Result<std::shared_ptr<const Snapshot>> Snapshot::FromArtifactBytes(
     std::span<const uint8_t> bytes, std::string source) {
+  RetainFreedHeap();
   ByteReader reader(bytes);
   LAPIS_ASSIGN_OR_RETURN(corpus::StudyArtifact artifact,
                          corpus::DeserializeStudy(reader));
@@ -63,47 +80,63 @@ Result<std::shared_ptr<const Snapshot>> Snapshot::FromArtifactBytes(
   snapshot->source_ = std::move(source);
 
   const core::StudyDataset& dataset = *snapshot->artifact_.dataset;
+  // Syscalls rank over the full 320-entry universe so unused calls surface
+  // (with importance 0) in deep top-K tails, matching the paper's "what to
+  // support" tables.
+  const std::vector<core::ApiId> universe = corpus::FullSyscallUniverse();
+  snapshot->syscall_ordinals_.resize(universe.size());
+  for (const core::ApiId& api : universe) {  // ascending, codes 0..n-1
+    uint32_t ordinal = dataset.ApiOrdinal(api);
+    if (ordinal == core::kNoApiOrdinal) {
+      ordinal = static_cast<uint32_t>(dataset.Apis().size() +
+                                      snapshot->extra_syscalls_.size());
+      snapshot->extra_syscalls_.push_back(api);
+    }
+    snapshot->syscall_ordinals_[api.code] = ordinal;
+  }
   for (int k = 0; k < core::kApiKindCount; ++k) {
     auto kind = static_cast<core::ApiKind>(k);
-    // Syscalls rank over the full 320-entry universe so unused calls
-    // surface (with importance 0) in deep top-K tails, matching the
-    // paper's "what to support" tables.
-    snapshot->ranked_[static_cast<size_t>(k)] = dataset.RankByImportance(
-        kind, kind == core::ApiKind::kSyscall ? corpus::FullSyscallUniverse()
+    const auto ranked = dataset.RankByImportance(
+        kind, kind == core::ApiKind::kSyscall ? universe
                                               : std::vector<core::ApiId>{});
+    for (const core::ApiId& api : ranked) {
+      snapshot->ranked_[static_cast<size_t>(k)].push_back(
+          snapshot->Ordinal(api));
+    }
   }
 
-  // Intern canonical names for everything rankable (and thus returnable).
-  auto intern = [&snapshot](core::ApiId api, std::string_view name) {
-    snapshot->name_ids_.emplace(api.Encode(), snapshot->names_.Intern(name));
-  };
+  // Intern a canonical name for every snapshot ordinal (everything
+  // rankable, and thus returnable).
+  snapshot->name_ids_.resize(dataset.Apis().size() +
+                             snapshot->extra_syscalls_.size());
   char buf[48];
-  for (const auto& ranked : snapshot->ranked_) {
-    for (const core::ApiId& api : ranked) {
-      switch (api.kind) {
-        case core::ApiKind::kSyscall:
-          intern(api, corpus::SyscallName(static_cast<int>(api.code)));
-          break;
-        case core::ApiKind::kIoctlOp:
-          std::snprintf(buf, sizeof buf, "ioctl:0x%x", api.code);
-          intern(api, buf);
-          break;
-        case core::ApiKind::kFcntlOp:
-          std::snprintf(buf, sizeof buf, "fcntl:%u", api.code);
-          intern(api, buf);
-          break;
-        case core::ApiKind::kPrctlOp:
-          std::snprintf(buf, sizeof buf, "prctl:%u", api.code);
-          intern(api, buf);
-          break;
-        case core::ApiKind::kPseudoFile:
-          intern(api, snapshot->artifact_.path_interner.NameOf(api.code));
-          break;
-        case core::ApiKind::kLibcFn:
-          intern(api, snapshot->artifact_.libc_interner.NameOf(api.code));
-          break;
-      }
+  for (uint32_t ordinal = 0; ordinal < snapshot->name_ids_.size(); ++ordinal) {
+    const core::ApiId api = snapshot->ApiAt(ordinal);
+    std::string_view name;
+    switch (api.kind) {
+      case core::ApiKind::kSyscall:
+        name = corpus::SyscallName(static_cast<int>(api.code));
+        break;
+      case core::ApiKind::kIoctlOp:
+        std::snprintf(buf, sizeof buf, "ioctl:0x%x", api.code);
+        name = buf;
+        break;
+      case core::ApiKind::kFcntlOp:
+        std::snprintf(buf, sizeof buf, "fcntl:%u", api.code);
+        name = buf;
+        break;
+      case core::ApiKind::kPrctlOp:
+        std::snprintf(buf, sizeof buf, "prctl:%u", api.code);
+        name = buf;
+        break;
+      case core::ApiKind::kPseudoFile:
+        name = snapshot->artifact_.path_interner.NameOf(api.code);
+        break;
+      case core::ApiKind::kLibcFn:
+        name = snapshot->artifact_.libc_interner.NameOf(api.code);
+        break;
     }
+    snapshot->name_ids_[ordinal] = snapshot->names_.Intern(name);
   }
   return std::shared_ptr<const Snapshot>(std::move(snapshot));
 }
@@ -114,7 +147,16 @@ Result<std::shared_ptr<const Snapshot>> Snapshot::FromFile(
   if (f == nullptr) {
     return IoError("cannot open " + path);
   }
+  // Room for the whole file up front: a buffer grown by doubling leaves
+  // its outgrown copies behind as resident heap in a serving process.
   std::vector<uint8_t> bytes;
+  if (std::fseek(f, 0, SEEK_END) == 0) {
+    long size = std::ftell(f);
+    if (size > 0) {
+      bytes.reserve(static_cast<size_t>(size));
+    }
+    std::rewind(f);
+  }
   uint8_t buffer[65536];
   size_t n = 0;
   while ((n = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
@@ -131,12 +173,52 @@ Result<std::shared_ptr<const Snapshot>> Snapshot::FromStudy(
   return FromArtifactBytes(writer.bytes(), std::move(source));
 }
 
-std::string_view Snapshot::ApiName(core::ApiId api) const {
-  auto it = name_ids_.find(api.Encode());
-  if (it != name_ids_.end()) {
-    return names_.NameOf(it->second);
+uint32_t Snapshot::Ordinal(core::ApiId api) const {
+  if (api.kind == core::ApiKind::kSyscall &&
+      api.code < syscall_ordinals_.size()) {
+    return syscall_ordinals_[api.code];
   }
-  return "";
+  return dataset().ApiOrdinal(api);
+}
+
+core::ApiId Snapshot::ApiAt(uint32_t ordinal) const {
+  const size_t indexed = dataset().Apis().size();
+  return ordinal < indexed ? dataset().Apis()[ordinal]
+                           : extra_syscalls_[ordinal - indexed];
+}
+
+std::string_view Snapshot::ApiName(core::ApiId api) const {
+  uint32_t ordinal = Ordinal(api);
+  if (ordinal == core::kNoApiOrdinal) {
+    return "";
+  }
+  return names_.NameOf(name_ids_[ordinal]);
+}
+
+bool Snapshot::ResolveProfile(const QueryRequest& request,
+                              ResolvedProfile* out,
+                              QueryResponse* response) const {
+  out->supported.assign(name_ids_.size(), 0);
+  for (const ApiRef& ref : request.supported) {
+    core::ApiId api;
+    bool absent = false;
+    WireStatus status = ResolveApi(ref, &api, &absent);
+    if (status != WireStatus::kOk) {
+      response->status = status;
+      response->error = "cannot resolve '" + ref.name + "'";
+      return false;
+    }
+    if (absent) {
+      ++out->absent;
+      continue;
+    }
+    ++out->resolved;
+    uint32_t ordinal = Ordinal(api);
+    if (ordinal != core::kNoApiOrdinal) {
+      out->supported[ordinal] = 1;
+    }
+  }
+  return true;
 }
 
 WireStatus Snapshot::ResolveApi(const ApiRef& ref, core::ApiId* out,
@@ -267,37 +349,23 @@ QueryResponse Snapshot::ExecuteImportance(const QueryRequest& request) const {
 QueryResponse Snapshot::ExecuteEvalProfile(const QueryRequest& request) const {
   QueryResponse response;
   response.opcode = Opcode::kEvalProfile;
-  std::set<core::ApiId> supported;
+  ResolvedProfile profile;
+  if (!ResolveProfile(request, &profile, &response)) {
+    return response;
+  }
+  // Syscalls outside every footprint (the tail of the snapshot ordinals)
+  // cannot change which packages work.
+  const core::SupportSummary summary = core::EvaluateSupport(
+      dataset(),
+      std::span<const uint8_t>(profile.supported)
+          .first(dataset().Apis().size()),
+      request.evaluated_kinds_mask);
   EvalProfileResult& result = response.eval;
-  for (const ApiRef& ref : request.supported) {
-    core::ApiId api;
-    bool absent = false;
-    WireStatus status = ResolveApi(ref, &api, &absent);
-    if (status != WireStatus::kOk) {
-      response.status = status;
-      response.error = "cannot resolve '" + ref.name + "'";
-      return response;
-    }
-    if (absent) {
-      ++result.absent_apis;
-    } else {
-      supported.insert(api);
-      ++result.resolved_apis;
-    }
-  }
-  core::CompletenessOptions options;
-  for (int k = 0; k < core::kApiKindCount; ++k) {
-    if (request.evaluated_kinds_mask & (1u << k)) {
-      options.evaluated_kinds.insert(static_cast<core::ApiKind>(k));
-    }
-  }
-  result.weighted_completeness =
-      core::WeightedCompleteness(dataset(), supported, options);
-  auto flags = core::SupportedPackages(dataset(), supported, options);
-  for (bool ok : flags) {
-    result.supported_packages += ok ? 1 : 0;
-  }
+  result.weighted_completeness = summary.weighted_completeness;
+  result.supported_packages = summary.supported_packages;
   result.total_packages = static_cast<uint32_t>(dataset().package_count());
+  result.resolved_apis = profile.resolved;
+  result.absent_apis = profile.absent;
   return response;
 }
 
@@ -315,32 +383,21 @@ QueryResponse Snapshot::ExecuteTopK(const QueryRequest& request) const {
                      std::to_string(kMaxProfileApis) + "]";
     return response;
   }
-  std::set<core::ApiId> supported;
-  for (const ApiRef& ref : request.supported) {
-    core::ApiId api;
-    bool absent = false;
-    WireStatus status = ResolveApi(ref, &api, &absent);
-    if (status != WireStatus::kOk) {
-      response.status = status;
-      response.error = "cannot resolve '" + ref.name + "'";
-      return response;
-    }
-    if (!absent) {
-      supported.insert(api);
-    }
+  ResolvedProfile profile;
+  if (!ResolveProfile(request, &profile, &response)) {
+    return response;
   }
-  const auto& ranked = ranked_[static_cast<size_t>(request.top_kind)];
-  for (const core::ApiId& api : ranked) {
+  for (uint32_t ordinal : ranked_[static_cast<size_t>(request.top_kind)]) {
     if (response.top_k.size() >= request.top_k) {
       break;
     }
-    if (supported.find(api) != supported.end()) {
+    if (profile.supported[ordinal] != 0) {
       continue;
     }
     TopKEntry entry;
-    entry.api = api;
-    entry.name = std::string(ApiName(api));
-    entry.importance = dataset().ApiImportance(api);
+    entry.api = ApiAt(ordinal);
+    entry.name = std::string(names_.NameOf(name_ids_[ordinal]));
+    entry.importance = dataset().ApiImportance(entry.api);
     response.top_k.push_back(std::move(entry));
   }
   return response;
@@ -355,17 +412,15 @@ QueryResponse Snapshot::ExecutePlanFrontier(
   input.dataset = artifact_.dataset.get();
   plan::CostModel costs = plan::CostModel::Defaults();
   input.costs = &costs;
-  for (const ApiRef& ref : request.supported) {
-    core::ApiId api;
-    bool absent = false;
-    WireStatus status = ResolveApi(ref, &api, &absent);
-    if (status != WireStatus::kOk) {
-      response.status = status;
-      response.error = "cannot resolve '" + ref.name + "'";
-      return response;
-    }
-    if (!absent) {
-      input.already_supported.insert(api);
+  ResolvedProfile profile;
+  if (!ResolveProfile(request, &profile, &response)) {
+    return response;
+  }
+  // The planner only consults footprint APIs, so the dataset's ordinals
+  // carry the whole profile.
+  for (uint32_t ordinal = 0; ordinal < dataset().Apis().size(); ++ordinal) {
+    if (profile.supported[ordinal] != 0) {
+      input.already_supported.insert(dataset().Apis()[ordinal]);
     }
   }
   for (int k = 0; k < core::kApiKindCount; ++k) {

@@ -234,6 +234,98 @@ TEST(ServeSnapshot, PlanFrontierUnknownSupportedApiIsError) {
             WireStatus::kUnknownApi);
 }
 
+TEST(ServeSnapshot, TopKSkipsSupportedSyscallsNoPackageUses) {
+  auto snapshot = SharedSnapshot();
+  const auto& dataset = *Study().dataset;
+  auto ranked = dataset.RankByImportance(core::ApiKind::kSyscall,
+                                         corpus::FullSyscallUniverse());
+  // The tail holds syscalls no footprint mentions (importance 0).
+  const core::ApiId unused = ranked.back();
+  ASSERT_TRUE(dataset.Dependents(unused).empty());
+
+  QueryRequest request;
+  request.opcode = Opcode::kTopK;
+  request.top_kind = core::ApiKind::kSyscall;
+  request.top_k = static_cast<uint32_t>(ranked.size());
+  request.supported.push_back({core::ApiKind::kSyscall, unused.code, ""});
+  auto response = snapshot->Execute(request);
+  ASSERT_EQ(response.status, WireStatus::kOk);
+  ASSERT_EQ(response.top_k.size(), ranked.size() - 1);
+  for (size_t i = 0; i + 1 < ranked.size(); ++i) {
+    EXPECT_EQ(response.top_k[i].api, ranked[i]) << i;
+    EXPECT_EQ(response.top_k[i].name,
+              corpus::SyscallName(static_cast<int>(ranked[i].code)))
+        << i;
+  }
+}
+
+// Four threads share one snapshot and mix eval-profile and top-K requests;
+// every answer must equal the serial one. Under TSan this also shows that
+// the dataset's index is read-only after Finalize and that each request's
+// scratch stays its own.
+TEST(ServeSnapshot, ConcurrentEvalAndTopKMatchSerialAnswers) {
+  auto snapshot = SharedSnapshot();
+  const auto& dataset = *Study().dataset;
+  auto ranked = dataset.RankByImportance(core::ApiKind::kSyscall,
+                                         corpus::FullSyscallUniverse());
+  std::vector<QueryRequest> requests;
+  for (size_t count : {0, 40, 120, 200}) {
+    for (uint8_t mask : {0, 1, 0x11, 0x3f}) {
+      QueryRequest eval;
+      eval.opcode = Opcode::kEvalProfile;
+      eval.evaluated_kinds_mask = mask;
+      for (size_t i = 0; i < count && i < ranked.size(); i += 1 + i % 3) {
+        eval.supported.push_back(
+            {core::ApiKind::kSyscall, ranked[i].code, ""});
+      }
+      QueryRequest top = eval;
+      top.opcode = Opcode::kTopK;
+      top.top_kind = core::ApiKind::kSyscall;
+      top.top_k = 20;
+      requests.push_back(std::move(eval));
+      requests.push_back(std::move(top));
+    }
+  }
+  for (const auto& profile : corpus::LinuxSystemPlans()) {
+    QueryRequest eval;
+    eval.opcode = Opcode::kEvalProfile;
+    eval.evaluated_kinds_mask =
+        1u << static_cast<uint8_t>(core::ApiKind::kSyscall);
+    for (core::ApiId api :
+         corpus::BuildSystemProfile(dataset, profile).supported) {
+      eval.supported.push_back({api.kind, api.code, ""});
+    }
+    requests.push_back(std::move(eval));
+  }
+  std::vector<std::vector<uint8_t>> serial;
+  for (const auto& request : requests) {
+    QueryResponse response = snapshot->Execute(request);
+    ASSERT_EQ(response.status, WireStatus::kOk);
+    serial.push_back(EncodeResponseFrame(std::span(&response, 1)));
+  }
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 20; ++round) {
+        for (size_t i = 0; i < requests.size(); ++i) {
+          const size_t index = (i * (2 * t + 1) + t) % requests.size();
+          QueryResponse response = snapshot->Execute(requests[index]);
+          if (EncodeResponseFrame(std::span(&response, 1)) !=
+              serial[index]) {
+            mismatches.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
 TEST(ServeSnapshot, SameArtifactSameContentHash) {
   auto again = Snapshot::FromStudy(Study(), "other-label");
   ASSERT_TRUE(again.ok());
