@@ -5,9 +5,10 @@
 //   * unknown syscall-site counts and rates (precision per tier);
 //   * ground-truth mismatches (all must be zero — soundness of recovery);
 //   * the audit verdict (every tier must replay with zero violations).
-// Headline checks, mirroring bench_dataflow_precision one tier up:
-//   * ipa must STRICTLY reduce unknown sites versus dataflow (wrapper-style
-//     sites are recoverable only by back-tracking through the call graph);
+// Headline checks:
+//   * unknown sites must STRICTLY shrink linear > dataflow > ipa (branch-
+//     guarded sites are recoverable only through the CFG join, wrapper-style
+//     sites only by back-tracking through the call graph);
 //   * ipa exports must be byte-identical at --jobs=1 and --jobs=4 (the
 //     bottom-up summary / top-down resolution passes are deterministic).
 // Results go to BENCH_ipa.json (override with LAPIS_IPA_BENCH_JSON).

@@ -1,6 +1,6 @@
 // Pipeline micro-benchmarks (google-benchmark): disassembly throughput,
 // per-binary analysis, cross-library resolution, metric computation, and
-// the db-backed aggregation path.
+// the parallel study pipeline.
 //
 // main() first runs a cold/warm end-to-end study pair per worker count,
 // each against a fresh content-addressed cache, and writes the measured
@@ -35,7 +35,6 @@
 #include "src/corpus/study_runner.h"
 #include "src/corpus/syscall_table.h"
 #include "src/corpus/system_profiles.h"
-#include "src/db/transitive_closure.h"
 #include "src/disasm/decoder.h"
 #include "src/elf/elf_reader.h"
 #include "src/runtime/executor.h"
@@ -161,27 +160,6 @@ void BM_GreedyCompletenessPath(benchmark::State& state) {
 }
 BENCHMARK(BM_GreedyCompletenessPath);
 
-void BM_DbTransitiveAggregation(benchmark::State& state) {
-  const auto& dataset = *PerfStudy().dataset;
-  for (auto _ : state) {
-    db::TransitiveAggregator aggregator(
-        static_cast<uint32_t>(dataset.package_count()));
-    for (uint32_t pkg = 0; pkg < dataset.package_count(); ++pkg) {
-      for (const auto& api : dataset.Footprint(pkg)) {
-        (void)aggregator.AddFact(pkg, api.Encode());
-      }
-      for (uint32_t dep : dataset.DependencyClosure(pkg)) {
-        if (dep != pkg) {
-          (void)aggregator.AddEdge(pkg, dep);
-        }
-      }
-    }
-    auto closure = aggregator.Aggregate();
-    benchmark::DoNotOptimize(closure.size());
-  }
-}
-BENCHMARK(BM_DbTransitiveAggregation);
-
 // End-to-end study at a reduced scale, parameterized by worker count
 // (argument 0 = runtime::DefaultJobs, i.e. all cores). Exports are
 // byte-identical across arguments; only wall time may differ.
@@ -217,31 +195,6 @@ BENCHMARK(BM_StudyPipelineJobs)
     ->Arg(2)
     ->Arg(0)
     ->Unit(benchmark::kMillisecond);
-
-// The db closure aggregation alone, sequential vs level-parallel on a pool.
-void BM_DbTransitiveAggregationJobs(benchmark::State& state) {
-  const auto& dataset = *PerfStudy().dataset;
-  size_t jobs = static_cast<size_t>(state.range(0));
-  runtime::Executor executor(jobs);
-  for (auto _ : state) {
-    db::TransitiveAggregator aggregator(
-        static_cast<uint32_t>(dataset.package_count()));
-    for (uint32_t pkg = 0; pkg < dataset.package_count(); ++pkg) {
-      for (const auto& api : dataset.Footprint(pkg)) {
-        (void)aggregator.AddFact(pkg, api.Encode());
-      }
-      for (uint32_t dep : dataset.DependencyClosure(pkg)) {
-        if (dep != pkg) {
-          (void)aggregator.AddEdge(pkg, dep);
-        }
-      }
-    }
-    auto closure = aggregator.Aggregate(&executor);
-    benchmark::DoNotOptimize(closure.size());
-  }
-  state.counters["threads"] = static_cast<double>(executor.thread_count());
-}
-BENCHMARK(BM_DbTransitiveAggregationJobs)->Arg(1)->Arg(0);
 
 // Raw executor overhead: ParallelFor over a counter increment, per element.
 void BM_ExecutorParallelFor(benchmark::State& state) {

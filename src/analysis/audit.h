@@ -20,7 +20,7 @@
 // The auditor runs with the same AnalyzerOptions as the study pipeline, so
 // the `use_dataflow` ablation switch (and the methodology switches) are
 // audited exactly as configured; `lapis_study --audit` and the
-// bench_dataflow_precision benchmark report both modes side by side.
+// bench_ipa_precision benchmark report every tier side by side.
 
 #ifndef LAPIS_SRC_ANALYSIS_AUDIT_H_
 #define LAPIS_SRC_ANALYSIS_AUDIT_H_

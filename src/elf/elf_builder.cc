@@ -76,12 +76,6 @@ uint32_t ElfBuilder::AddImport(const std::string& symbol) {
   return index;
 }
 
-uint32_t ElfBuilder::AddRodata(std::span<const uint8_t> data) {
-  uint32_t off = static_cast<uint32_t>(rodata_.size());
-  rodata_.insert(rodata_.end(), data.begin(), data.end());
-  return off;
-}
-
 uint32_t ElfBuilder::AddRodataString(std::string_view s) {
   uint32_t off = static_cast<uint32_t>(rodata_.size());
   rodata_.insert(rodata_.end(), s.begin(), s.end());

@@ -15,7 +15,6 @@
 #define LAPIS_SRC_ELF_ELF_BUILDER_H_
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -61,9 +60,8 @@ class ElfBuilder {
   // Registers an imported symbol; idempotent. Returns the PLT slot index.
   uint32_t AddImport(const std::string& symbol);
 
-  // Appends raw bytes / a NUL-terminated string to .rodata; returns its
-  // offset within the section.
-  uint32_t AddRodata(std::span<const uint8_t> data);
+  // Appends a NUL-terminated string to .rodata; returns its offset within
+  // the section.
   uint32_t AddRodataString(std::string_view s);
 
   // Adds a function (appended to .text in call order, 16-byte aligned).

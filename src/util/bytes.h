@@ -1,8 +1,8 @@
 // Little-endian byte buffer reader/writer.
 //
-// Used by the ELF reader/writer, the x86-64 encoder, and the database
-// serializer. All multi-byte integers are little-endian (ELF64 x86-64 and our
-// on-disk formats share that convention).
+// Used by the ELF reader/writer, the x86-64 encoder, and the cache and
+// dataset-artifact codecs. All multi-byte integers are little-endian (ELF64
+// x86-64 and our on-disk formats share that convention).
 
 #ifndef LAPIS_SRC_UTIL_BYTES_H_
 #define LAPIS_SRC_UTIL_BYTES_H_
@@ -39,7 +39,6 @@ class ByteWriter {
 
   // Overwrite previously-written bytes (for back-patching offsets).
   void PatchU32(size_t offset, uint32_t v);
-  void PatchU64(size_t offset, uint64_t v);
 
   size_t size() const { return bytes_.size(); }
   const std::vector<uint8_t>& bytes() const { return bytes_; }
@@ -59,7 +58,6 @@ class ByteReader {
   bool AtEnd() const { return pos_ >= data_.size(); }
 
   Status Seek(size_t position);
-  Status Skip(size_t count);
 
   Result<uint8_t> ReadU8();
   Result<uint16_t> ReadU16();

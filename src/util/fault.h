@@ -73,9 +73,6 @@ enum class Kind : uint8_t {
   kCrash,   // process "dies" mid-operation; all later ops fail with EIO
 };
 
-const char* SiteName(Site site);
-const char* KindName(Kind kind);
-
 // What the injector decided for one operation. kind == kNone means proceed
 // normally. For kShort and kCrash, `short_bytes` is how much of the request
 // actually transfers before the fault lands (always < requested bytes).
@@ -179,10 +176,6 @@ class ScopedFaultInjection {
   ScopedFaultInjection(const ScopedFaultInjection&) = delete;
   ScopedFaultInjection& operator=(const ScopedFaultInjection&) = delete;
 };
-
-// Called once from a file-scope initializer to arm the injector from
-// LAPIS_FAULT_SPEC / LAPIS_FAULT_SEED. Exposed for tests.
-void InitFromEnvForTest();
 
 }  // namespace fault
 }  // namespace lapis

@@ -2,10 +2,9 @@
 //
 // The pipeline shuttles the same few thousand symbol names and pseudo-file
 // paths through every stage: libc exports its 1,274 symbols, every package
-// imports a subset of them, and the db-backed aggregation used to copy each
-// name into every row that mentioned it. StringPool stores each distinct
-// string once and hands out dense 32-bit ids; consumers (LibraryResolver,
-// DbPipeline) key their maps by id instead of by std::string.
+// imports a subset of them. StringPool stores each distinct string once and
+// hands out dense 32-bit ids; consumers (LibraryResolver) key their maps by
+// id instead of by std::string.
 //
 // Thread-safety: Intern and NameOf are safe to call concurrently from any
 // worker (shared_mutex; the TSan suite hammers this). The pool is

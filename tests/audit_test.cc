@@ -134,7 +134,7 @@ TEST(AuditReport, FoldAggregatesAndFlagsViolations) {
             std::string::npos);
 }
 
-// The corpus-wide invariant behind bench_dataflow_precision: both analysis
+// The corpus-wide invariant behind bench_ipa_precision: both analysis
 // modes replay the whole small corpus with zero soundness violations, and
 // dataflow strictly reduces the unknown syscall sites the linear baseline
 // leaves behind (the branch-guarded sites).
